@@ -3,10 +3,10 @@
 // routing thread and each shard worker.
 //
 // Design notes:
-//   * Exactly one producer thread may call try_push and exactly one
-//     consumer thread may call try_pop; the two indices are only ever
-//     written by their owning side, so a store-release / load-acquire
-//     pair per operation is sufficient — no CAS, no locks.
+//   * Exactly one producer thread may call the push side and exactly one
+//     consumer thread the pop side; the two indices are only ever written
+//     by their owning side, so a store-release / load-acquire pair per
+//     transaction is sufficient — no CAS, no locks.
 //   * Each side keeps a CACHED copy of the other side's index and only
 //     re-reads the shared atomic when the cached value says the queue
 //     looks full (producer) or empty (consumer). On the fast path an
@@ -14,9 +14,17 @@
 //   * Capacity is rounded up to a power of two so wrap-around is a mask,
 //     and one slot is intentionally never used (full at capacity-1) to
 //     distinguish full from empty without a separate counter.
-//   * try_push/try_pop never block: the sharded runner decides the
-//     backpressure policy (it yields and retries, keeping arrival order
-//     intact rather than dropping).
+//   * Two transfer styles share the indices. By value: try_push_n moves
+//     elements in and try_pop_n moves them out. In place: try_copy_in_n
+//     copy-assigns into the free slots, so each slot's element reuses the
+//     storage its previous occupant left (a std::vector keeps its
+//     capacity from lap to lap), and the consumer works on the slots
+//     where they lie (peek) before handing them back (release). After the
+//     first lap the in-place style allocates nothing, which is how the
+//     sharded runtime moves events between threads.
+//   * No operation blocks: the sharded runner decides the backpressure
+//     policy (it yields and retries, keeping arrival order intact rather
+//     than dropping).
 #pragma once
 
 #include <algorithm>
@@ -44,50 +52,20 @@ class SpscQueue {
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
 
-  // Producer side. Returns false when the ring is full (caller retries).
-  bool try_push(T&& v) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t next = (tail + 1) & mask_;
-    if (next == head_cache_) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      if (next == head_cache_) return false;
-    }
-    slots_[tail] = std::move(v);
-    tail_.store(next, std::memory_order_release);
-    return true;
-  }
-
   // Producer side, bulk: moves as many leading elements of src into the
   // ring as fit right now and returns that count (0 when full). One
   // acquire (at most) and one release for the whole transaction, so a
   // batch of n amortizes the shared-cache-line traffic n ways.
   std::size_t try_push_n(std::span<T> src) {
-    if (src.empty()) return 0;
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free_slots = mask_ - ((tail - head_cache_) & mask_);
-    if (free_slots < src.size()) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free_slots = mask_ - ((tail - head_cache_) & mask_);
-      if (free_slots == 0) return 0;
-    }
-    const std::size_t n = std::min(src.size(), free_slots);
-    for (std::size_t i = 0; i < n; ++i) {
-      slots_[(tail + i) & mask_] = std::move(src[i]);
-    }
-    tail_.store((tail + n) & mask_, std::memory_order_release);
-    return n;
+    return push_with(src.size(), [&](T& slot, std::size_t i) { slot = std::move(src[i]); });
   }
 
-  // Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;
-    }
-    out = std::move(slots_[head]);
-    head_.store((head + 1) & mask_, std::memory_order_release);
-    return true;
+  // Producer side, in place: copy-assigns *src[i] into the free slots for
+  // as many leading pointers as fit and returns that count (0 when full).
+  // The assignment reuses the slot's existing storage, so once every slot
+  // has held an element at least as large, a push allocates nothing.
+  std::size_t try_copy_in_n(std::span<const T* const> src) {
+    return push_with(src.size(), [&](T& slot, std::size_t i) { slot = *src[i]; });
   }
 
   // Consumer side, bulk: moves up to max elements into out and returns
@@ -95,18 +73,31 @@ class SpscQueue {
   std::size_t try_pop_n(T* out, std::size_t max) {
     if (max == 0) return 0;
     const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t avail = (tail_cache_ - head) & mask_;
-    if (avail < max) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      avail = (tail_cache_ - head) & mask_;
-      if (avail == 0) return 0;
-    }
-    const std::size_t n = std::min(max, avail);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = std::move(slots_[(head + i) & mask_]);
-    }
+    const std::size_t n = std::min(max, readable(head, max));
+    if (n == 0) return 0;
+    for (std::size_t i = 0; i < n; ++i) out[i] = std::move(slots_[(head + i) & mask_]);
     head_.store((head + n) & mask_, std::memory_order_release);
     return n;
+  }
+
+  // Consumer side, in place: the filled slots at the head, at most `max`
+  // of them and contiguous in memory — the run stops at the ring's
+  // physical end, so a backlog that wraps comes back over two calls.
+  // Empty when the ring is empty. The producer cannot touch the slots
+  // until release() hands them back, so the consumer may read and mutate
+  // them in the meantime.
+  std::span<T> peek(std::size_t max) {
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    const std::size_t n = std::min({max, readable(head, max), slots_.size() - head});
+    return {slots_.data() + head, n};
+  }
+
+  // Consumer side: returns the first n slots of the last peek() to the
+  // producer.
+  void release(std::size_t n) {
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    OOSP_ASSERT(n <= ((tail_cache_ - head) & mask_));
+    head_.store((head + n) & mask_, std::memory_order_release);
   }
 
   // Usable from either side (approximate under concurrency; exact once
@@ -121,6 +112,7 @@ class SpscQueue {
   // Occupancy snapshot for observability gauges. Approximate under
   // concurrency (the two indices are read at different instants) but
   // always within [0, capacity()]; exact once the other side quiesces.
+  // Peeked slots count until they are released.
   std::size_t size_approx() const noexcept {
     const std::size_t head = head_.load(std::memory_order_acquire);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
@@ -128,6 +120,35 @@ class SpscQueue {
   }
 
  private:
+  // Producer side: fills up to `want` free slots through fill(slot, i)
+  // and publishes them with one release store.
+  template <typename Fill>
+  std::size_t push_with(std::size_t want, Fill&& fill) {
+    if (want == 0) return 0;
+    const std::size_t tail = tail_.load(std::memory_order_relaxed);
+    std::size_t free_slots = mask_ - ((tail - head_cache_) & mask_);
+    if (free_slots < want) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      free_slots = mask_ - ((tail - head_cache_) & mask_);
+    }
+    const std::size_t n = std::min(want, free_slots);
+    if (n == 0) return 0;
+    for (std::size_t i = 0; i < n; ++i) fill(slots_[(tail + i) & mask_], i);
+    tail_.store((tail + n) & mask_, std::memory_order_release);
+    return n;
+  }
+
+  // Consumer side: filled slots from `head`, re-reading the producer's
+  // index only when the cached one shows fewer than `want`.
+  std::size_t readable(std::size_t head, std::size_t want) {
+    std::size_t avail = (tail_cache_ - head) & mask_;
+    if (avail < want) {
+      tail_cache_ = tail_.load(std::memory_order_acquire);
+      avail = (tail_cache_ - head) & mask_;
+    }
+    return avail;
+  }
+
   std::vector<T> slots_;
   std::size_t mask_ = 0;
 

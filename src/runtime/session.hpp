@@ -140,7 +140,9 @@ class SessionConfig {
     share_scans_ = enabled;
     return *this;
   }
-  // Per-shard ingress queue capacity (bounded; producer blocks when full).
+  // Per-shard ingress queue capacity in events (bounded; producer blocks
+  // when full). Default kDefaultQueueCapacity; a full ring holds capacity
+  // × slot footprint of memory per shard (runtime/sharded.hpp).
   SessionConfig& queue_capacity(std::size_t n) {
     queue_capacity_ = n;
     return *this;
@@ -216,7 +218,7 @@ class SessionConfig {
   EngineKind default_kind_ = EngineKind::kOoo;
   EngineOptions default_options_;
   std::size_t shards_ = 1;
-  std::size_t queue_capacity_ = 64 * 1024;
+  std::size_t queue_capacity_ = kDefaultQueueCapacity;
   bool share_scans_ = true;
   RecoveryConfig recovery_;
   OverloadConfig overload_;

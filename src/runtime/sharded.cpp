@@ -155,40 +155,41 @@ ShardedRunner::~ShardedRunner() {
 
 void ShardedRunner::worker_loop(Shard& shard) {
   try {
-    // Bulk dequeue amortizes the ring's shared-cache-line traffic; the
-    // popped events are still PROCESSED one at a time, so engine-visible
-    // order, kill-hook points, and checkpoint cadence are identical to
-    // the per-event loop (pop batch boundaries are timing-dependent and
-    // must not be observable).
+    // Events run where they lie in the ring: peek() exposes a run of
+    // filled slots, the worker processes each in place, and only then
+    // releases the run. The producer's next lap copy-assigns into slots
+    // whose attrs kept their capacity, so no per-event heap block is
+    // allocated on one thread and freed on the other. Processing stays
+    // one event at a time, so engine-visible order, kill-hook points, and
+    // checkpoint cadence are identical to the per-event loop (run
+    // boundaries are timing-dependent and must not be observable).
     constexpr std::size_t kWorkerBatch = 256;
-    std::vector<Event> buf(kWorkerBatch);
     SpinBackoff backoff;
     Timestamp consumed_hwm = shard.consumed_clock.load(std::memory_order_relaxed);
     for (;;) {
-      // Occupancy is sampled BEFORE the pop: a genuine size_approx()
-      // reading is always within [0, capacity]. Reconstructing it after
-      // the pop as size_approx() + n raced the producer refilling the
-      // freed slots and could transiently exceed the capacity.
+      // Occupancy is sampled BEFORE the peek: a genuine size_approx()
+      // reading is always within [0, capacity]; it includes the run the
+      // worker is about to process, whose slots stay taken until release.
       const std::size_t depth =
           shard.queue_depth ? shard.queue->size_approx() : 0;
-      const std::size_t n = shard.queue->try_pop_n(buf.data(), buf.size());
-      if (n > 0) {
+      const std::span<Event> run = shard.queue->peek(kWorkerBatch);
+      if (!run.empty()) {
         backoff.reset();
         if (shard.watermark_lag) {
           // How far this shard trails the stream: the newest timestamp the
           // producer has routed anywhere minus the one being consumed now.
           const Timestamp newest = global_clock_.load(std::memory_order_relaxed);
-          if (newest != kMinTimestamp && newest > buf[0].ts)
-            shard.watermark_lag->set(newest - buf[0].ts);
+          if (newest != kMinTimestamp && newest > run.front().ts)
+            shard.watermark_lag->set(newest - run.front().ts);
           shard.queue_depth->set(static_cast<std::int64_t>(depth));
         }
-        for (std::size_t i = 0; i < n; ++i) {
-          const Event& e = buf[i];
+        for (const Event& e : run) {
           // Fault injection: die BEFORE processing, so the victim event is
           // neither reflected in engine state nor covered by a checkpoint —
-          // the supervisor must replay it. (Events popped but not yet
-          // processed die with this incarnation; their consumed count was
-          // never advanced, so replay covers them too.)
+          // the supervisor must replay it. (Events peeked but not yet
+          // processed die with this incarnation, and its ring with them;
+          // their consumed count was never advanced, so replay covers
+          // them too.)
           if (recovery_.kill_hook && recovery_.kill_hook(e)) throw WorkerKilled(e.id);
           if (recovery_.delay_hook) recovery_.delay_hook(e);
           shard.runner->on_event(e);
@@ -197,6 +198,7 @@ void ShardedRunner::worker_loop(Shard& shard) {
           if (recovery_.enabled() && shard.consumed % recovery_.checkpoint_every == 0)
             checkpoint_shard(shard);
         }
+        shard.queue->release(run.size());
         // Progress signal for the producer's overload monitor: the
         // newest stream time this shard has processed.
         shard.consumed_clock.store(consumed_hwm, std::memory_order_relaxed);
@@ -444,7 +446,8 @@ bool ShardedRunner::overload_admit(Shard& shard, const Event& e) {
   const Pressure p = mon.assess(depth, lag);
   // The producer is the ring's only writer, so "not full" cannot be
   // stolen out from under us: once size_approx() < capacity the
-  // subsequent try_push is guaranteed to succeed.
+  // subsequent copy-in is guaranteed to succeed. Events the worker is
+  // still running count as occupancy until it releases their slots.
   const bool full = depth >= shard.queue->capacity();
   switch (overload_.policy) {
     case OverloadPolicy::kBlock:
@@ -484,7 +487,7 @@ bool ShardedRunner::overload_admit(Shard& shard, const Event& e) {
   return false;
 }
 
-void ShardedRunner::push_blocking(Shard& shard, Event e) {
+void ShardedRunner::push_blocking(Shard& shard, const Event& e) {
   if (shard.dropped) {
     ++shard.dropped_events;
     ++degraded_.dropped_events;
@@ -519,8 +522,9 @@ void ShardedRunner::push_blocking(Shard& shard, Event e) {
       return;
     }
   }
+  const Event* const src = &e;
   SpinBackoff backoff;
-  while (!shard.queue->try_push(std::move(e))) {
+  while (shard.queue->try_copy_in_n({&src, 1}) == 0) {
     if (shard.dead.load(std::memory_order_acquire)) {
       // A dead worker will never drain this queue; surface its exception
       // to the producer instead of spinning forever.
@@ -535,7 +539,7 @@ void ShardedRunner::push_blocking(Shard& shard, Event e) {
   }
 }
 
-void ShardedRunner::push_batch_blocking(Shard& shard, std::vector<Event>& events) {
+void ShardedRunner::push_batch_blocking(Shard& shard, std::vector<const Event*>& events) {
   // Recovery is off on this path (on_batch falls back to per-event
   // routing when it is on), so the only liveness hazard is a dead,
   // never-draining consumer — same fail-fast contract as push_blocking.
@@ -548,28 +552,23 @@ void ShardedRunner::push_batch_blocking(Shard& shard, std::vector<Event>& events
   if (shard.monitor) {
     OverloadMonitor& mon = *shard.monitor;
     const Timestamp clock = global_clock_.load(std::memory_order_relaxed);
-    for (const Event& e : events)
-      mon.observe(clock > e.ts ? clock - e.ts : 0);
+    for (const Event* e : events)
+      mon.observe(clock > e->ts ? clock - e->ts : 0);
     const Timestamp consumed = shard.consumed_clock.load(std::memory_order_relaxed);
     const Timestamp lag =
         (consumed != kMinTimestamp && clock > consumed) ? clock - consumed : 0;
     const Pressure p = mon.assess(shard.queue->size_approx(), lag);
     if (overload_.policy == OverloadPolicy::kShedByLateness &&
         p >= Pressure::kWarn) {
-      auto keep = events.begin();
-      for (auto it = events.begin(); it != events.end(); ++it) {
-        const Timestamp lateness = clock > it->ts ? clock - it->ts : 0;
-        if (mon.shed_late(lateness, p)) {
-          account_shed(shard, *it, false);
-        } else {
-          if (keep != it) *keep = std::move(*it);
-          ++keep;
-        }
-      }
-      events.erase(keep, events.end());
+      std::erase_if(events, [&](const Event* e) {
+        const Timestamp lateness = clock > e->ts ? clock - e->ts : 0;
+        if (!mon.shed_late(lateness, p)) return false;
+        account_shed(shard, *e, false);
+        return true;
+      });
     }
   }
-  std::span<Event> rest(events);
+  std::span<const Event* const> rest(events);
   SpinBackoff backoff;
   while (!rest.empty()) {
     // Dead-worker fail-fast parity with the scalar path: checked on
@@ -578,7 +577,7 @@ void ShardedRunner::push_batch_blocking(Shard& shard, std::vector<Event>& events
     // here instead of the producer quietly filling (or spinning on) a
     // queue nobody will ever drain.
     if (shard.dead.load(std::memory_order_acquire)) rethrow_worker_error(shard);
-    const std::size_t n = shard.queue->try_push_n(rest);
+    const std::size_t n = shard.queue->try_copy_in_n(rest);
     if (n > 0) {
       rest = rest.subspan(n);
       // Occupancy sample for the depth gauge, taken AFTER the chunk
@@ -596,12 +595,12 @@ void ShardedRunner::push_batch_blocking(Shard& shard, std::vector<Event>& events
         case OverloadPolicy::kBlock:
           break;
         case OverloadPolicy::kShedNewest:
-          for (const Event& e : rest) account_shed(shard, e, false);
+          for (const Event* e : rest) account_shed(shard, *e, false);
           return;
         case OverloadPolicy::kShedByLateness:
           if (!wait_for_room(shard, overload_.fresh_wait)) {
             shard.monitor->note_forced_shed();
-            for (const Event& e : rest) account_shed(shard, e, true);
+            for (const Event* e : rest) account_shed(shard, *e, true);
             return;
           }
           continue;  // room appeared (or the worker died; loop-top check)
@@ -651,18 +650,28 @@ void ShardedRunner::on_batch(std::span<const Event> batch) {
     for (const Event& e : batch) route_event(e);
     return;
   }
+  // Stage pointers, not copies: each event is copied once, straight into
+  // its ring slot. A shard receives at most every event of the batch, so
+  // after the largest batch so far staging allocates nothing. Stages are
+  // cleared here rather than after their push: a push that threw (dead
+  // worker, OverloadError) left the rest of its stage — pointers into the
+  // previous caller's batch — behind, and those must never reach a ring.
   if (batch_stage_.size() != shards_.size()) batch_stage_.resize(shards_.size());
+  for (auto& stage : batch_stage_) {
+    stage.clear();
+    stage.reserve(batch.size());
+  }
   for (const Event& e : batch) {
     if (e.ts > global_clock_.load(std::memory_order_relaxed))
       global_clock_.store(e.ts, std::memory_order_relaxed);
     const std::size_t slot = partition_.slot_for(e.type);
     if (slot == PartitionSpec::kTickOnly || slot >= e.attrs.size()) {
       if (broadcasts_) broadcasts_->inc();
-      for (auto& stage : batch_stage_) stage.push_back(e);
+      for (auto& stage : batch_stage_) stage.push_back(&e);
       continue;
     }
     const std::size_t target = hasher_(e.attrs[slot]) % shards_.size();
-    batch_stage_[target].push_back(e);
+    batch_stage_[target].push_back(&e);
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     if (batch_stage_[i].empty()) continue;
@@ -675,7 +684,6 @@ void ShardedRunner::on_batch(std::span<const Event> batch) {
     } else {
       push_batch_blocking(*shards_[i], batch_stage_[i]);
     }
-    batch_stage_[i].clear();
   }
 }
 

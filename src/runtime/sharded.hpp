@@ -138,6 +138,15 @@ struct RecoveryConfig {
   bool enabled() const noexcept { return checkpoint_every > 0; }
 };
 
+// Default per-shard ingress ring capacity, in events. Ring slots are
+// reused, never freed, so a full ring stays resident: in-flight memory is
+// capacity × shards × slot footprint, where a slot is sizeof(Event) plus
+// the attrs block it keeps from its last occupant (~150 B for a
+// 2-attribute event). 8,192 slots hold a full ring to ~1.2 MB per shard;
+// 64k slots cost ~10 MB per shard, and measured throughput ranges at the
+// two sizes overlap (DESIGN.md §3.6).
+inline constexpr std::size_t kDefaultQueueCapacity = 8 * 1024;
+
 // Canonical cross-shard output order: (seal_ts = match.last_ts(),
 // query id, match key). Returns the concatenation of `streams` sorted
 // into that order; used for matches and retractions alike.
@@ -153,7 +162,7 @@ class ShardedRunner {
   // grouping pass (see runtime/planner.hpp).
   ShardedRunner(const TypeRegistry& registry, std::vector<ShardQuerySpec> specs,
                 std::size_t num_shards, PartitionSpec partition,
-                std::size_t queue_capacity = 64 * 1024,
+                std::size_t queue_capacity = kDefaultQueueCapacity,
                 MetricsRegistry* metrics = nullptr, RecoveryConfig recovery = {},
                 bool share_scans = true, OverloadConfig overload = {});
   ~ShardedRunner();
@@ -170,15 +179,17 @@ class ShardedRunner {
   // spinning on a queue nobody will ever drain.
   void on_event(const Event& e);
 
-  // Producer side, batched: partitions the whole slice up front, then
-  // moves each shard's sub-batch into its ring with bulk try_push_n
+  // Producer side, batched: partitions the whole slice up front into
+  // per-shard lists of pointers into `batch`, then copies each shard's
+  // events straight into its ring slots with bulk try_copy_in_n
   // transactions (one acquire/release pair per round instead of per
-  // event). Workers still process per event, so engine-visible order and
-  // checkpoint cadence are untouched. With recovery enabled this falls
-  // back to per-event routing: backup-before-push admission is a
-  // per-event invariant — staging a whole batch into the backup before a
-  // mid-push worker death would both replay it and push the remainder,
-  // duplicating events.
+  // event) before returning. Slots keep their attrs capacity from the
+  // previous lap, so the hand-off allocates nothing. Workers still
+  // process per event, so engine-visible order and checkpoint cadence
+  // are untouched. With recovery enabled this falls back to per-event
+  // routing: backup-before-push admission is a per-event invariant —
+  // staging a whole batch into the backup before a mid-push worker death
+  // would both replay it and push the remainder, duplicating events.
   void on_batch(std::span<const Event> batch);
 
   // Drains the queues, joins the workers, runs per-shard finish().
@@ -244,7 +255,9 @@ class ShardedRunner {
     // producer after join() — the join is the synchronization point.
     std::vector<EngineStats> final_stats;
     // Per-shard observability slots (null when metrics are disabled).
-    Gauge* queue_depth = nullptr;      // ingress occupancy, scrape keeps max
+    // Ingress occupancy, scrape keeps max. Counts the events the worker
+    // is still running: their slots are released only afterwards.
+    Gauge* queue_depth = nullptr;
     Gauge* watermark_lag = nullptr;    // global clock − event ts at dequeue
     Gauge* merge_occupancy = nullptr;  // matches parked awaiting the merge
 
@@ -288,13 +301,16 @@ class ShardedRunner {
     std::uint64_t consumed = 0;
   };
 
+  // Runs each event where it lies in the ring, then releases its slots.
   void worker_loop(Shard& shard);
-  void push_blocking(Shard& shard, Event e);
+  // Copies `e` into the shard's next ring slot, blocking with backoff
+  // when full (kBlock) or per the overload policy.
+  void push_blocking(Shard& shard, const Event& e);
   void route_event(const Event& e);
-  // Moves all of `events` into the shard's ring, blocking with backoff
-  // when full (kBlock) or per the overload policy; recovery is disabled
-  // on this path (see on_batch).
-  void push_batch_blocking(Shard& shard, std::vector<Event>& events);
+  // Copies every event `events` points at into the shard's ring, blocking
+  // with backoff when full (kBlock) or per the overload policy; recovery
+  // is disabled on this path (see on_batch).
+  void push_batch_blocking(Shard& shard, std::vector<const Event*>& events);
   [[noreturn]] void rethrow_worker_error(const Shard& shard);
 
   // ---- Overload control (producer thread; see runtime/overload.hpp).
@@ -366,9 +382,9 @@ class ShardedRunner {
   Counter* dropped_events_obs_ = nullptr;
   std::uint64_t replayed_events_ = 0;
   DegradedAccounting degraded_;
-  // on_batch scratch: per-shard staged sub-batches (cleared after each
-  // push round; capacity persists across batches).
-  std::vector<std::vector<Event>> batch_stage_;
+  // on_batch scratch: per-shard pointers into the caller's batch (cleared
+  // at the start of each call; capacity persists across batches).
+  std::vector<std::vector<const Event*>> batch_stage_;
 };
 
 }  // namespace oosp

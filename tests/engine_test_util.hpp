@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/spsc_queue.hpp"
 #include "engine/engines.hpp"
 #include "engine/oracle/oracle.hpp"
 #include "event/event.hpp"
@@ -74,6 +76,23 @@ inline void expect_exact(EngineKind kind, const CompiledQuery& q,
                          << ": expected=" << v.expected << " produced=" << v.produced
                          << " missed=" << v.missed
                          << " false_positives=" << v.false_positives;
+}
+
+// One-element ring transactions through the in-place ops the sharded
+// runtime uses (try_copy_in_n, peek/release).
+template <typename T>
+bool spsc_push_one(SpscQueue<T>& q, const T& v) {
+  const T* const src = &v;
+  return q.try_copy_in_n({&src, 1}) == 1;
+}
+
+template <typename T>
+bool spsc_pop_one(SpscQueue<T>& q, T& out) {
+  const std::span<T> run = q.peek(1);
+  if (run.empty()) return false;
+  out = run.front();
+  q.release(1);
+  return true;
 }
 
 }  // namespace oosp::testutil

@@ -1,16 +1,20 @@
 // Batched ingestion (Session::push_batch → ShardedRunner::on_batch →
-// SpscQueue bulk ops → engine on_batch): SPSC bulk-transfer units, the
-// event-arena recycling contract, batch-vs-per-event bit-identical
-// output across engine kinds / keying / batch sizes, kill-at-batch-
-// boundary recovery, checkpoint/restore mid-stream under batched
-// feeding, and the aggressive-negation retraction-semantics pin.
+// SpscQueue in-place ops → engine on_batch): SPSC bulk and in-place
+// transfer units, an allocation-free producer hand-off, the event-arena
+// recycling contract, batch-vs-per-event bit-identical output across
+// engine kinds / keying / batch sizes, kill-at-batch-boundary recovery,
+// checkpoint/restore mid-stream under batched feeding, and the
+// aggressive-negation retraction-semantics pin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <deque>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,6 +28,24 @@
 #include "stream/faults.hpp"
 #include "workload/synthetic.hpp"
 
+// Heap allocations made by the calling thread. This executable replaces
+// the global operator new to count them (the array and nothrow forms
+// forward to it; over-aligned allocations are not counted), so a test can
+// assert that a code path allocates nothing on the thread that runs it.
+namespace {
+thread_local std::size_t t_allocations = 0;
+}  // namespace
+
+// Out of line, so the compiler never sees a new-expression paired with a
+// bare free().
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
 namespace oosp {
 namespace {
 
@@ -33,54 +55,225 @@ using testutil::make_test_engine;
 
 // ----------------------------------------------------------- SPSC bulk
 
-TEST(SpscBulk, RoundTripWithWraparoundMatchesModel) {
-  SpscQueue<int> q(8);  // power of two; one slot reserved -> 7 usable
-  constexpr std::size_t kUsable = 7;
-  std::deque<int> model;
-  Rng rng(42);
-  int next = 0;
-  std::vector<int> out(16);
-  for (int round = 0; round < 2000; ++round) {
-    if (rng.bernoulli(0.55)) {
-      std::vector<int> src;
-      const auto want = static_cast<std::size_t>(rng.uniform_int(1, 10));
-      for (std::size_t i = 0; i < want; ++i) src.push_back(next + static_cast<int>(i));
-      const std::size_t pushed = q.try_push_n(std::span<int>(src));
-      // Single-threaded: the stale head cache only ever underestimates
-      // free space and is refreshed on demand, so a bulk push must
-      // accept exactly min(requested, free).
-      ASSERT_EQ(pushed, std::min(want, kUsable - model.size()));
-      for (std::size_t i = 0; i < pushed; ++i) model.push_back(src[i]);
-      next += static_cast<int>(pushed);
-    } else {
-      const auto max = static_cast<std::size_t>(rng.uniform_int(1, 10));
-      const std::size_t popped = q.try_pop_n(out.data(), max);
-      ASSERT_EQ(popped, std::min(max, model.size()));
-      for (std::size_t i = 0; i < popped; ++i) {
-        ASSERT_EQ(out[i], model.front());
-        model.pop_front();
-      }
-    }
-  }
-  // FIFO order held across ~2000 mixed transactions including many
-  // wrap-arounds (ring is only 8 slots).
+// The ring's two transfer styles behind one push/pop interface, so one
+// model check covers both: by value (try_push_n / try_pop_n) and in
+// place (try_copy_in_n / peek + release).
+enum class SpscOps { kMove, kInPlace };
+
+std::size_t push_via(SpscOps ops, SpscQueue<int>& q, std::vector<int>& src) {
+  if (ops == SpscOps::kMove) return q.try_push_n(std::span<int>(src));
+  std::vector<const int*> ptrs;
+  for (const int& v : src) ptrs.push_back(&v);
+  return q.try_copy_in_n(ptrs);
 }
 
-TEST(SpscBulk, BulkAndSingleOpsInterleave) {
+std::size_t pop_via(SpscOps ops, SpscQueue<int>& q, int* out, std::size_t max) {
+  if (ops == SpscOps::kMove) return q.try_pop_n(out, max);
+  // A peeked run stops at the ring's physical end, so a wrapped backlog
+  // takes two runs.
+  std::size_t got = 0;
+  while (got < max) {
+    const std::span<int> run = q.peek(max - got);
+    if (run.empty()) break;
+    std::copy(run.begin(), run.end(), out + got);
+    got += run.size();
+    q.release(run.size());
+  }
+  return got;
+}
+
+TEST(SpscBulk, RoundTripWithWraparoundMatchesModel) {
+  for (const SpscOps ops : {SpscOps::kMove, SpscOps::kInPlace}) {
+    SCOPED_TRACE(ops == SpscOps::kMove ? "by value" : "in place");
+    SpscQueue<int> q(8);  // power of two; one slot reserved -> 7 usable
+    constexpr std::size_t kUsable = 7;
+    std::deque<int> model;
+    Rng rng(42);
+    int next = 0;
+    std::vector<int> out(16);
+    for (int round = 0; round < 2000; ++round) {
+      if (rng.bernoulli(0.55)) {
+        std::vector<int> src;
+        const auto want = static_cast<std::size_t>(rng.uniform_int(1, 10));
+        for (std::size_t i = 0; i < want; ++i) src.push_back(next + static_cast<int>(i));
+        const std::size_t pushed = push_via(ops, q, src);
+        // Single-threaded: the stale head cache only ever underestimates
+        // free space and is refreshed on demand, so a bulk push must
+        // accept exactly min(requested, free).
+        ASSERT_EQ(pushed, std::min(want, kUsable - model.size()));
+        for (std::size_t i = 0; i < pushed; ++i) model.push_back(src[i]);
+        next += static_cast<int>(pushed);
+      } else {
+        const auto max = static_cast<std::size_t>(rng.uniform_int(1, 10));
+        const std::size_t popped = pop_via(ops, q, out.data(), max);
+        ASSERT_EQ(popped, std::min(max, model.size()));
+        for (std::size_t i = 0; i < popped; ++i) {
+          ASSERT_EQ(out[i], model.front());
+          model.pop_front();
+        }
+      }
+      ASSERT_EQ(q.size_approx(), model.size());
+    }
+    // FIFO order held across ~2000 mixed transactions including many
+    // wrap-arounds (ring is only 8 slots).
+  }
+}
+
+TEST(SpscBulk, BulkAndInPlaceOpsInterleave) {
   SpscQueue<int> q(4);  // 3 usable
   std::vector<int> src{1, 2, 3, 4, 5};
   EXPECT_EQ(q.try_push_n(std::span<int>(src)), 3u);  // partial fill
   EXPECT_EQ(q.try_push_n(std::span<int>(src)), 0u);  // full
-  int v = 0;
-  EXPECT_TRUE(q.try_pop(v));
-  EXPECT_EQ(v, 1);
+  const std::span<int> run = q.peek(1);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0], 1);
+  q.release(1);
   std::vector<int> out(8);
   EXPECT_EQ(q.try_pop_n(out.data(), out.size()), 2u);
   EXPECT_EQ(out[0], 2);
   EXPECT_EQ(out[1], 3);
   EXPECT_EQ(q.try_pop_n(out.data(), out.size()), 0u);  // empty
+  EXPECT_TRUE(q.peek(8).empty());
   std::span<int> empty;
   EXPECT_EQ(q.try_push_n(empty), 0u);  // empty request is a no-op
+  EXPECT_EQ(q.try_copy_in_n({}), 0u);
+  const int seven = 7;
+  const int* const one = &seven;
+  EXPECT_EQ(q.try_copy_in_n({&one, 1}), 1u);
+  EXPECT_EQ(q.try_pop_n(out.data(), out.size()), 1u);
+  EXPECT_EQ(out[0], 7);
+}
+
+// ------------------------------------------------ SPSC in place, Events
+
+TEST(SpscInPlace, ReusedSlotHoldsExactlyTheNewEvent) {
+  // A ring of two slots: each lap rewrites both. Lap one leaves 3-attribute
+  // events with a heap-allocated string behind; lap two copies 1-attribute
+  // int events over them, which must not inherit any stale attribute.
+  SpscQueue<Event> q(2);
+  const auto wide = [](EventId id) {
+    return Event{.type = 2, .id = id, .ts = 10, .arrival = id,
+                 .attrs = {Value(7), Value(std::string(200, 'x')), Value(2.5)}};
+  };
+  const auto narrow = [](EventId id) {
+    return Event{.type = 0, .id = id, .ts = 20, .arrival = id, .attrs = {Value(42)}};
+  };
+  for (const bool first_lap : {true, false}) {
+    for (EventId id = 0; id < 2; ++id) {
+      const Event e = first_lap ? wide(id) : narrow(id);
+      ASSERT_TRUE(testutil::spsc_push_one(q, e));
+      const std::span<Event> run = q.peek(4);
+      ASSERT_EQ(run.size(), 1u);
+      EXPECT_EQ(run[0], e) << "lap " << (first_lap ? 1 : 2) << " slot " << id;
+      EXPECT_EQ(run[0].attrs.size(), e.attrs.size());
+      q.release(1);
+    }
+  }
+}
+
+TEST(SpscInPlace, TwoThreadEventStressMixedArity) {
+  // Random arity (1-4) and attribute kinds per event, so each ring slot
+  // sees every combination across laps: more or fewer attributes than its
+  // last occupant, ints over strings and back, short (inline) strings over
+  // long (heap) ones and back.
+  constexpr std::size_t kN = 40'000;
+  std::vector<Event> src(kN);
+  Rng shape(5);
+  for (std::size_t i = 0; i < kN; ++i) {
+    Event& e = src[i];
+    e.type = static_cast<TypeId>(i % 3);
+    e.id = i;
+    e.ts = static_cast<Timestamp>(i);
+    const auto arity = shape.uniform_int(1, 4);
+    for (std::int64_t a = 0; a < arity; ++a) {
+      if (shape.bernoulli(0.4))
+        e.attrs.emplace_back(std::string(shape.bernoulli(0.5) ? 40 : 3, 'a'));
+      else
+        e.attrs.emplace_back(static_cast<std::int64_t>(i * 10) + a);
+    }
+  }
+  SpscQueue<Event> q(64);
+  std::size_t mismatches = 0;
+  std::thread consumer([&] {
+    std::size_t got = 0;
+    while (got < kN) {
+      const std::span<Event> run = q.peek(16);
+      if (run.empty()) {
+        std::this_thread::yield();
+        continue;
+      }
+      for (const Event& e : run)
+        if (!(e == src[got++])) ++mismatches;
+      q.release(run.size());
+    }
+  });
+  Rng rng(9);
+  std::vector<const Event*> ptrs;
+  std::size_t sent = 0;
+  while (sent < kN) {
+    const auto want = std::min<std::size_t>(rng.uniform_int(1, 48), kN - sent);
+    ptrs.clear();
+    for (std::size_t k = 0; k < want; ++k) ptrs.push_back(&src[sent + k]);
+    std::span<const Event* const> rest(ptrs);
+    while (!rest.empty()) {
+      const std::size_t n = q.try_copy_in_n(rest);
+      if (n == 0) std::this_thread::yield();
+      rest = rest.subspan(n);
+    }
+    sent += want;
+  }
+  consumer.join();
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(q.empty());
+}
+
+// ------------------------------------------- producer-side allocations
+
+TEST(ShardedTransport, ProducerAllocatesNothingOnceRingsAreWarm) {
+  const TypeRegistry reg = make_abcd_registry();
+  // A/B route by key; D is relevant to no query, so it is broadcast to
+  // every shard. Every event has the same two int attributes, so a slot
+  // that has held one event has the capacity for any other.
+  std::vector<Event> events;
+  for (EventId i = 0; i < 4 * 16 * 256; ++i) {
+    const char* type = i % 8 == 7 ? "D" : (i % 2 ? "B" : "A");
+    events.push_back(make_event(reg, type, i, static_cast<Timestamp>(i), (i / 2) % 97, 1));
+  }
+  const auto sink = std::make_shared<CollectingTaggedSink>();
+  Session session(reg,
+                  SessionConfig{}
+                      .slack(0)
+                      .shards(3)
+                      .queue_capacity(16)
+                      .query("PATTERN SEQ(A a, B b) WHERE a.k == b.k WITHIN 20"),
+                  sink);
+  ASSERT_EQ(session.shard_count(), 3u);
+  // Four consecutive phases of 16 batches' worth of events each; the
+  // first two (far more than 3 x 16 events) write every ring slot at least
+  // once and size the staging lists for the largest batch.
+  constexpr std::size_t kBatch = 256;
+  constexpr std::size_t kPhase = 16 * kBatch;
+  const std::span<const Event> all(events);
+  const auto push_batches = [&](std::size_t from) {
+    for (std::size_t off = from; off < from + kPhase; off += kBatch)
+      session.push_batch(all.subspan(off, kBatch));
+  };
+  const auto push_each = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) session.push(events[i]);
+  };
+  push_batches(0);
+  push_each(kPhase, 2 * kPhase);
+
+  const std::size_t before_batches = t_allocations;
+  push_batches(2 * kPhase);
+  EXPECT_EQ(t_allocations - before_batches, 0u) << "push_batch allocated";
+
+  const std::size_t before_events = t_allocations;
+  push_each(3 * kPhase, events.size());
+  EXPECT_EQ(t_allocations - before_events, 0u) << "per-event push allocated";
+
+  session.close();
+  EXPECT_GT(sink->matches().size(), 0u);
 }
 
 // ----------------------------------------------------------- arena

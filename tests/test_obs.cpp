@@ -22,6 +22,8 @@ namespace {
 
 using testutil::make_abcd_registry;
 using testutil::make_event;
+using testutil::spsc_pop_one;
+using testutil::spsc_push_one;
 
 // ----------------------------------------------------------- Histogram
 
@@ -175,23 +177,31 @@ TEST(SpscQueueObs, FullAtCapacityMinusOneAndSizeApprox) {
   EXPECT_EQ(q.capacity(), 7u);
   EXPECT_EQ(q.size_approx(), 0u);
   for (int i = 0; i < 7; ++i) {
-    EXPECT_TRUE(q.try_push(int(i)));
+    EXPECT_TRUE(spsc_push_one(q, i));
     EXPECT_EQ(q.size_approx(), static_cast<std::size_t>(i) + 1);
   }
-  EXPECT_FALSE(q.try_push(7));  // full with 7 = capacity() elements
+  EXPECT_FALSE(spsc_push_one(q, 7));  // full with 7 = capacity() elements
   EXPECT_EQ(q.size_approx(), 7u);
   int v = 0;
-  for (int i = 0; i < 7; ++i) ASSERT_TRUE(q.try_pop(v));
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(spsc_pop_one(q, v));
   EXPECT_EQ(q.size_approx(), 0u);
   // Wrap-around: occupancy stays correct once the indices lap the ring.
   for (int round = 0; round < 5; ++round) {
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
+    EXPECT_TRUE(spsc_push_one(q, 1));
+    EXPECT_TRUE(spsc_push_one(q, 2));
     EXPECT_EQ(q.size_approx(), 2u);
-    ASSERT_TRUE(q.try_pop(v));
-    ASSERT_TRUE(q.try_pop(v));
+    ASSERT_TRUE(spsc_pop_one(q, v));
+    ASSERT_TRUE(spsc_pop_one(q, v));
     EXPECT_EQ(q.size_approx(), 0u);
   }
+  // Peeked slots stay occupied until released: a worker's in-flight run
+  // counts toward the depth that overload grading reads.
+  EXPECT_TRUE(spsc_push_one(q, 1));
+  EXPECT_TRUE(spsc_push_one(q, 2));
+  EXPECT_EQ(q.peek(8).size(), 2u);
+  EXPECT_EQ(q.size_approx(), 2u);
+  q.release(2);
+  EXPECT_EQ(q.size_approx(), 0u);
 }
 
 // ------------------------------------------------ Stats underflow guards

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -287,6 +288,59 @@ TEST(OverloadSession, FailPolicyThrowsOverloadErrorAndCloseStillDrains) {
   // The failure is the producer's: the session itself is still healthy
   // and close() drains what was admitted.
   session.close();
+}
+
+TEST(OverloadSession, FailedBatchLeavesNothingStagedForTheNextBatch) {
+  // A push_batch that throws part-way must not leave the unpushed rest of
+  // its batch staged: the next push_batch would admit those events too.
+  const TypeRegistry reg = make_abcd_registry();
+  const auto first = make_offered(reg, 200, 400);
+  std::vector<Event> second;
+  for (EventId i = 0; i < 4; ++i)
+    second.push_back(make_event(reg, i % 2 ? "B" : "A", 1'000 + i,
+                                static_cast<Timestamp>(1'000 + i),
+                                static_cast<std::int64_t>(i / 2)));
+  OverloadConfig cfg;
+  cfg.policy = OverloadPolicy::kFail;
+  cfg.fail_deadline = std::chrono::milliseconds(2);
+  std::atomic<bool> slow{true};
+  std::mutex mu;
+  std::vector<EventId> processed;
+  const auto processed_count = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return processed.size();
+  };
+
+  Session session(reg,
+                  SessionConfig{}
+                      .engine(EngineKind::kOoo)
+                      .slack(150)
+                      .shards(2)
+                      .queue_capacity(16)
+                      .overload(std::move(cfg))
+                      .delay_hook([&](const Event& e) {
+                        if (slow.load()) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                        std::lock_guard<std::mutex> lock(mu);
+                        processed.push_back(e.id);
+                      })
+                      .query(kPairQuery),
+                  std::make_shared<CollectingTaggedSink>());
+  EXPECT_THROW(session.push_batch(first), OverloadError);
+  // Speed the workers up and wait until what the failed call admitted has
+  // been processed (no progress across a 50 ms window).
+  slow.store(false);
+  std::size_t drained = 0;
+  do {
+    drained = processed_count();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  } while (processed_count() != drained);
+
+  session.push_batch(second);
+  session.close();
+  std::vector<EventId> after(processed.begin() + static_cast<std::ptrdiff_t>(drained),
+                             processed.end());
+  std::sort(after.begin(), after.end());
+  EXPECT_EQ(after, (std::vector<EventId>{1'000, 1'001, 1'002, 1'003}));
 }
 
 // ------------------------------------------- shedding × crash recovery

@@ -20,6 +20,8 @@ namespace {
 
 using testutil::make_abcd_registry;
 using testutil::make_event;
+using testutil::spsc_pop_one;
+using testutil::spsc_push_one;
 
 // ---------------------------------------------------------------- SPSC
 
@@ -34,14 +36,14 @@ TEST(SpscQueue, CapacityIsPowerOfTwoMinusReservedSlot) {
 TEST(SpscQueue, FifoOrderAndFullBehaviour) {
   SpscQueue<int> q(4);
   const int cap = static_cast<int>(q.capacity());
-  for (int i = 0; i < cap; ++i) EXPECT_TRUE(q.try_push(int(i)));
-  EXPECT_FALSE(q.try_push(99));  // full
+  for (int i = 0; i < cap; ++i) EXPECT_TRUE(spsc_push_one(q, i));
+  EXPECT_FALSE(spsc_push_one(q, 99));  // full
   int v = -1;
   for (int i = 0; i < cap; ++i) {
-    ASSERT_TRUE(q.try_pop(v));
+    ASSERT_TRUE(spsc_pop_one(q, v));
     EXPECT_EQ(v, i);
   }
-  EXPECT_FALSE(q.try_pop(v));  // empty
+  EXPECT_FALSE(spsc_pop_one(q, v));  // empty
   EXPECT_TRUE(q.empty());
 }
 
@@ -51,7 +53,7 @@ TEST(SpscQueue, CrossThreadTransfersEverythingInOrder) {
   std::thread consumer([&] {
     int expect = 0, v = 0;
     while (expect < kN) {
-      if (q.try_pop(v)) {
+      if (spsc_pop_one(q, v)) {
         ASSERT_EQ(v, expect);
         ++expect;
       } else {
@@ -60,7 +62,7 @@ TEST(SpscQueue, CrossThreadTransfersEverythingInOrder) {
     }
   });
   for (int i = 0; i < kN; ++i)
-    while (!q.try_push(int(i))) std::this_thread::yield();
+    while (!spsc_push_one(q, i)) std::this_thread::yield();
   consumer.join();
   EXPECT_TRUE(q.empty());
 }
