@@ -29,10 +29,15 @@
 //   * restore() rebuilds structures from a checkpoint, so engines call
 //     clear() first; serialized bytes hold the events themselves (the
 //     arena is an in-memory representation detail, invisible on the wire).
+//
+// Each live slot also keeps a caller-defined 64-bit stamp next to its
+// event (the SSC core records the stream clock at the event's arrival),
+// so reading it costs no extra cache miss when the event is read too.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,13 +51,14 @@ inline constexpr EventHandle kNullEventHandle = 0xFFFFFFFFu;
 
 class EventArena {
  public:
-  EventHandle alloc(const Event& e) {
+  EventHandle alloc(const Event& e, std::int64_t stamp = kMinTimestamp) {
     EventHandle h;
     if (free_head_ != kNullEventHandle) {
       h = free_head_;
       Slot& s = slot(h);
       free_head_ = s.next_free;
       s.event = e;  // copy-assign: reuses the recycled slot's attrs capacity
+      s.stamp = stamp;
       s.refs = 1;
     } else {
       OOSP_CHECK(size_ < kNullEventHandle, "EventArena handle space exhausted");
@@ -63,6 +69,7 @@ class EventArena {
       ++size_;
       Slot& s = slot(h);
       s.event = e;
+      s.stamp = stamp;
       s.refs = 1;
     }
     ++live_;
@@ -90,6 +97,11 @@ class EventArena {
     return slot(h).event;
   }
 
+  // The stamp of a live event, given the reference get() returned.
+  static std::int64_t stamp_of(const Event& e) noexcept {
+    return reinterpret_cast<const Slot*>(&e)->stamp;
+  }
+
   // Live (referenced) events. Capacity high-water is size().
   std::size_t live() const noexcept { return live_; }
   std::size_t size() const noexcept { return size_; }
@@ -104,11 +116,15 @@ class EventArena {
   }
 
  private:
+  // The event comes first, so a reference to it is a reference to its
+  // slot (pointer-interconvertible in a standard-layout struct).
   struct Slot {
     Event event;
+    std::int64_t stamp = kMinTimestamp;
     std::uint32_t refs = 0;
     EventHandle next_free = kNullEventHandle;
   };
+  static_assert(std::is_standard_layout_v<Slot>);
 
   static constexpr std::size_t kChunkShift = 8;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/contracts.hpp"
-
 namespace oosp {
 
 void StatAccumulator::add(double x) noexcept {
@@ -37,71 +35,5 @@ double StatAccumulator::variance() const noexcept {
 }
 
 double StatAccumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
-QuantileHistogram::QuantileHistogram(double min_value, double growth, std::size_t buckets)
-    : min_value_(min_value), growth_(growth), counts_(buckets, 0) {
-  OOSP_REQUIRE(min_value > 0.0, "histogram min_value must be positive");
-  OOSP_REQUIRE(growth > 1.0, "histogram growth must exceed 1");
-  OOSP_REQUIRE(buckets >= 2, "histogram needs at least two buckets");
-}
-
-std::size_t QuantileHistogram::bucket_for(double x) const noexcept {
-  // bucket i covers [min_value * growth^i, min_value * growth^(i+1))
-  const double r = std::log(x / min_value_) / std::log(growth_);
-  const auto i = static_cast<std::ptrdiff_t>(std::floor(r));
-  if (i < 0) return 0;
-  return std::min(static_cast<std::size_t>(i), counts_.size() - 1);
-}
-
-double QuantileHistogram::bucket_lo(std::size_t i) const noexcept {
-  return min_value_ * std::pow(growth_, static_cast<double>(i));
-}
-
-double QuantileHistogram::bucket_hi(std::size_t i) const noexcept {
-  return min_value_ * std::pow(growth_, static_cast<double>(i + 1));
-}
-
-void QuantileHistogram::add(double x) noexcept {
-  ++total_;
-  max_seen_ = std::max(max_seen_, x);
-  if (x < min_value_) {
-    ++underflow_;
-    return;
-  }
-  ++counts_[bucket_for(x)];
-}
-
-void QuantileHistogram::merge(const QuantileHistogram& other) {
-  OOSP_REQUIRE(counts_.size() == other.counts_.size() && min_value_ == other.min_value_ &&
-                   growth_ == other.growth_,
-               "histogram shapes differ");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-  underflow_ += other.underflow_;
-  max_seen_ = std::max(max_seen_, other.max_seen_);
-}
-
-void QuantileHistogram::reset() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = underflow_ = 0;
-  max_seen_ = 0.0;
-}
-
-double QuantileHistogram::quantile(double q) const noexcept {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (rank <= cum) return 0.0;  // inside the underflow mass: below min_value
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (rank <= next && counts_[i] > 0) {
-      const double frac = (rank - cum) / static_cast<double>(counts_[i]);
-      return bucket_lo(i) + frac * (bucket_hi(i) - bucket_lo(i));
-    }
-    cum = next;
-  }
-  return max_seen_;
-}
 
 }  // namespace oosp

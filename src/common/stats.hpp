@@ -1,12 +1,10 @@
-// Streaming statistics: scalar accumulators (Welford) and fixed-memory
-// histograms with quantile estimates. Used by the runtime's metrics layer
-// and by the benchmark harnesses for latency distributions.
+// Streaming statistics: a single-pass scalar accumulator (Welford), used
+// by the driver for detection-delay summaries. (Latency distributions
+// live in the metrics registry's histograms, obs/metrics.hpp.)
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace oosp {
 
@@ -32,38 +30,6 @@ class StatAccumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Log-bucketed histogram for non-negative values (latencies, sizes).
-// Buckets grow geometrically from `min_value`; quantiles are estimated by
-// linear interpolation inside the winning bucket. Memory is O(buckets).
-class QuantileHistogram {
- public:
-  explicit QuantileHistogram(double min_value = 1.0, double growth = 1.25,
-                     std::size_t buckets = 128);
-
-  void add(double x) noexcept;
-  void merge(const QuantileHistogram& other);
-  void reset() noexcept;
-
-  std::uint64_t count() const noexcept { return total_; }
-  double quantile(double q) const noexcept;  // q in [0,1]
-  double p50() const noexcept { return quantile(0.50); }
-  double p95() const noexcept { return quantile(0.95); }
-  double p99() const noexcept { return quantile(0.99); }
-  double observed_max() const noexcept { return max_seen_; }
-
- private:
-  std::size_t bucket_for(double x) const noexcept;
-  double bucket_lo(std::size_t i) const noexcept;
-  double bucket_hi(std::size_t i) const noexcept;
-
-  double min_value_;
-  double growth_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t underflow_ = 0;
-  double max_seen_ = 0.0;
 };
 
 }  // namespace oosp

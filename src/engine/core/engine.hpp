@@ -91,11 +91,6 @@ struct EngineOptions {
   // (CompiledQuery::partitionable()). OOO and in-order engines.
   bool partition_by_key = true;
 
-  // OOO engine only: maintain cached rightmost-instance pointers,
-  // updated on out-of-order insertion, instead of re-deriving the
-  // predecessor range by binary search during construction (R-A3).
-  bool cache_rip = false;
-
   // Observability (see src/obs/): when set, the engine registers its
   // instrument slots here at construction and updates them on the hot
   // path with relaxed atomics — safe to scrape from another thread while

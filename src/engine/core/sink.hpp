@@ -122,29 +122,6 @@ class NullSink final : public MatchSink {
   std::uint64_t count_ = 0;
 };
 
-// Counts matches and aggregates detection delay without storing bodies.
-class CountingSink final : public MatchSink {
- public:
-  void on_match(Match&& m) override {
-    ++count_;
-    total_delay_ += m.detection_delay();
-    max_delay_ = std::max(max_delay_, m.detection_delay());
-  }
-  void on_retract(const Match&) override { ++retractions_; }
-  std::uint64_t count() const noexcept { return count_; }
-  std::uint64_t retractions() const noexcept { return retractions_; }
-  double mean_delay() const noexcept {
-    return count_ ? static_cast<double>(total_delay_) / static_cast<double>(count_) : 0.0;
-  }
-  Timestamp max_delay() const noexcept { return max_delay_; }
-
- private:
-  std::uint64_t count_ = 0;
-  std::uint64_t retractions_ = 0;
-  Timestamp total_delay_ = 0;
-  Timestamp max_delay_ = 0;
-};
-
 // Stores every match; used by tests and the verification harness.
 class CollectingSink final : public MatchSink {
  public:

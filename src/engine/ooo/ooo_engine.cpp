@@ -1,765 +1,17 @@
 #include "engine/ooo/ooo_engine.hpp"
 
-#include <algorithm>
-
-#include "common/contracts.hpp"
-#include "engine/core/schedule.hpp"
 #include "runtime/checkpoint.hpp"
 
 namespace oosp {
 
-OooEngine::OooEngine(EngineContext ctx)
-    : PatternEngine(std::move(ctx)),
-      clock_(options_.slack),
-      estimator_(options_.slack_estimator, options_.slack) {
-  OOSP_REQUIRE(options_.slack >= 0, "slack must be non-negative");
-  const CompiledQuery& query = query_;
-  ordinal_of_step_.assign(query.num_steps(), CompiledStep::npos);
-  for (std::size_t s = 0; s < query.num_steps(); ++s) {
-    if (query.step(s).negated) {
-      ordinal_of_step_[s] = step_of_negated_.size();
-      step_of_negated_.push_back(s);
-    } else {
-      ordinal_of_step_[s] = step_of_positive_.size();
-      step_of_positive_.push_back(s);
-    }
-  }
-  // One predicate schedule per anchor ordinal: binding order
-  // a, a−1, …, 0, a+1, …, n−1 (as pattern step indices).
-  const std::size_t n = step_of_positive_.size();
-  anchored_schedule_.resize(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    for (std::size_t k = a + 1; k-- > 0;) order.push_back(step_of_positive_[k]);
-    for (std::size_t k = a + 1; k < n; ++k) order.push_back(step_of_positive_[k]);
-    anchored_schedule_[a] = build_predicate_schedule(query, order);
-  }
-  bindings_.assign(query.num_steps(), nullptr);
-  single_.assign(query.num_steps(), nullptr);
-
-  neg_check_predicates_.resize(step_of_negated_.size());
-  for (std::size_t i = 0; i < step_of_negated_.size(); ++i) {
-    for (std::size_t pi = 0; pi < query.predicates().size(); ++pi) {
-      const CompiledPredicate& p = query.predicates()[pi];
-      if (p.references(step_of_negated_[i]) && p.steps().size() > 1)
-        neg_check_predicates_[i].push_back(pi);
-    }
-  }
-
-  partitioned_ = options_.partition_by_key && query.partitionable() &&
-                 std::none_of(query.partition_slots().begin(), query.partition_slots().end(),
-                              [](std::size_t s) { return s == CompiledStep::npos; });
-  if (!partitioned_) root_ = make_shard();
-}
-
-OooEngine::Shard OooEngine::make_shard() const {
-  Shard sh;
-  sh.stacks.resize(step_of_positive_.size());
-  sh.negatives.reserve(step_of_negated_.size());
-  for (const std::size_t step : step_of_negated_) sh.negatives.emplace_back(query_, step);
-  return sh;
-}
-
-OooEngine::Shard& OooEngine::shard_for(const Value& key) {
-  if (!partitioned_) return root_;
-  auto it = shards_.find(key);
-  if (it == shards_.end()) it = shards_.emplace(key, make_shard()).first;
-  return it->second;
-}
-
-OooEngine::Shard* OooEngine::find_shard(const Value& key) {
-  if (!partitioned_) return &root_;
-  auto it = shards_.find(key);
-  return it == shards_.end() ? nullptr : &it->second;
-}
-
-bool OooEngine::passes_local(std::size_t step, const Event& e) {
-  single_[step] = &e;
-  bool ok = true;
-  for (const std::size_t pi : query_.step(step).local_predicates) {
-    ++stats_.predicate_evals;
-    if (!query_.predicates()[pi].eval(single_)) {
-      ok = false;
-      break;
-    }
-  }
-  single_[step] = nullptr;
-  return ok;
-}
-
-void OooEngine::maybe_grow_slack() {
-  const Timestamp est = estimator_.estimate();
-  if (est > clock_.slack()) {
-    clock_.set_slack(est);
-    ++stats_.slack_grows;
-  }
-}
-
-void OooEngine::on_event(const Event& e) {
-  const Event* one = &e;
-  on_batch(std::span<const Event* const>(&one, 1));
-}
-
-void OooEngine::on_batch(std::span<const Event* const> batch) {
-  if (batch.empty()) return;
-  stats_.events_seen += batch.size();
-  EngineObs::inc(obs_.events, batch.size());
-
-  // Phase A — arrival order: admission, clock observation, adaptive
-  // growth, and the contract-violation policy are taken per event exactly
-  // as the per-event path would, so the admitted multiset is identical
-  // for any batching of the same arrival sequence.
-  batch_admitted_.clear();
-  for (const Event* pe : batch) {
-    const Event& e = *pe;
-    if (!admission_.admit(e)) continue;
-    const Timestamp lateness = clock_.observe(e);
-    if (lateness > 0) {
-      ++stats_.late_events;
-      EngineObs::inc(obs_.late);
-    }
-    if (options_.adaptive_slack) {
-      estimator_.observe(lateness);
-      maybe_grow_slack();
-    }
-    seal_watermark_ = std::max(seal_watermark_, clock_.seal_point());
-    if (e.ts <= seal_watermark_) {
-      // The effective contract is broken: seal/purge decisions at or
-      // above this timestamp are already final. LatePolicy decides its
-      // fate.
-      ++stats_.contract_violations;
-      EngineObs::inc(obs_.violations);
-      if (!admission_.admit_violation(e)) continue;
-    }
-    batch_admitted_.push_back(AdmittedEvent{pe, seal_watermark_});
-    // Purge cadence is observable state: resolution consults the
-    // negation buffers, so WHICH watermark a purge ran at changes what a
-    // later seal sees. Count exactly the events the per-event path
-    // counted (admitted, including policy-admitted violations) and
-    // record the watermark in effect at the crossing; the batch tail
-    // replays the passes in order. Slack shrinks belong to the cadence
-    // point too, so the recorded horizon matches per-event behaviour.
-    if (options_.purge_period != 0 &&
-        ++events_since_purge_ >= options_.purge_period) {
-      events_since_purge_ = 0;
-      apply_adaptive_shrink();
-      batch_purge_marks_.push_back(seal_watermark_);
-    }
-  }
-
-  // Phase B — canonical intra-batch order. Construction anchors a match
-  // at its last-inserted constituent; the match set is invariant under
-  // the insertion order of a fixed event multiset, so sorting changes
-  // nothing semantically while making the splice pattern append-heavy
-  // and the staged RIP bump lists ascending.
-  std::sort(batch_admitted_.begin(), batch_admitted_.end(),
-            [](const AdmittedEvent& a, const AdmittedEvent& b) {
-              return TsIdLess{}(*a.e, *b.e);
-            });
-
-  // Phase C — splice and construct.
-  for (const AdmittedEvent& ae : batch_admitted_) {
-    const Event& e = *ae.e;
-    arrival_watermark_ = ae.wm;
-    const auto& steps = query_.steps_for_type(e.type);
-    if (!steps.empty()) ++stats_.events_relevant;
-    EventHandle h = kNullEventHandle;  // allocated on first accepting step
-    for (const std::size_t step : steps) {
-      if (!passes_local(step, e)) continue;
-      const Value key =
-          partitioned_ ? e.attr(query_.partition_slots()[step]) : Value{};
-      Shard& shard = shard_for(key);
-      if (h == kNullEventHandle) {
-        h = arena_.alloc(e);
-      } else {
-        arena_.retain(h);
-      }
-      if (query_.step(step).negated) {
-        shard.negatives[ordinal_of_step_[step]].insert(e.ts, e.id, h);
-        stats_.note_buffered(1);
-        if (options_.aggressive_negation) handle_late_negative(key, e, step);
-      } else {
-        insert_positive(shard, key, e, h, step);
-      }
-    }
-  }
-  flush_all_rips();
-
-  // Seal/purge replay. Deferring sealing itself is sound: an interval an
-  // earlier event's watermark sealed cannot gain an in-contract negative
-  // from a later event (its ts would exceed the watermark). But a match
-  // that sealed BETWEEN two purge passes must be resolved against the
-  // buffer state between them — purging first with a later watermark
-  // could drop a violating negative the per-event path still saw.
-  // Replaying "resolve up to the mark, then purge at the mark" for each
-  // cadence crossing Phase A recorded reproduces the per-event
-  // interleaving exactly; in-contract events inserted later in the batch
-  // sit above every recorded horizon and perturb neither step.
-  // A pass at mark m is observable only through resolutions that occur
-  // after it and before the next pass — i.e. entries due at a watermark
-  // <= the next mark. With nothing due in that gap, the next pass (a
-  // deeper horizon; purge state depends only on inserts and the deepest
-  // threshold applied) subsumes this one, so skip it. The final mark
-  // always runs: it is the purge state the next batch starts from.
-  const auto next_due = [this]() -> Timestamp {
-    Timestamp t = kMaxTimestamp;
-    if (!pending_.empty()) t = std::min(t, pending_.top().seal_ts);
-    if (!unsealed_emitted_.empty())
-      t = std::min(t, unsealed_emitted_.front().seal_ts);
-    return t;
-  };
-  for (std::size_t i = 0; i < batch_purge_marks_.size(); ++i) {
-    const bool last = i + 1 == batch_purge_marks_.size();
-    if (!last && next_due() - 1 > batch_purge_marks_[i + 1]) continue;
-    process_pending_up_to(batch_purge_marks_[i]);
-    purge_pass(batch_purge_marks_[i]);
-  }
-  batch_purge_marks_.clear();
-  process_pending();
-  stats_.note_footprint(stats_.footprint() + admission_.quarantine_size());
-  EngineObs::set(obs_.footprint, static_cast<std::int64_t>(stats_.footprint()));
-  EngineObs::set(obs_.effective_slack, clock_.slack());
-}
-
-EngineStats OooEngine::stats_snapshot() const {
-  EngineStats s = stats_;
-  s.effective_slack = clock_.slack();
-  return s;
-}
-
-void OooEngine::stage_rip_bump(Shard& shard, std::size_t stack, Timestamp ts) {
-  if (shard.pending_bumps.empty()) shard.pending_bumps.resize(shard.stacks.size());
-  shard.pending_bumps[stack].push_back(ts);
-  if (!shard.rip_dirty) {
-    shard.rip_dirty = true;
-    rip_dirty_shards_.push_back(&shard);
-  }
-}
-
-void OooEngine::flush_stack_rips(Shard& shard, std::size_t stack) {
-  if (shard.pending_bumps.empty()) return;
-  auto& pend = shard.pending_bumps[stack];
-  if (pend.empty()) return;
-  shard.stacks[stack].bump_rips_batch(pend);
-  pend.clear();
-}
-
-void OooEngine::flush_all_rips() {
-  for (Shard* sh : rip_dirty_shards_) {
-    for (std::size_t s = 1; s < sh->stacks.size(); ++s) flush_stack_rips(*sh, s);
-    sh->rip_dirty = false;
-  }
-  rip_dirty_shards_.clear();
-}
-
-void OooEngine::insert_positive(Shard& shard, const Value& key, const Event& e,
-                                EventHandle handle, std::size_t step) {
-  const std::size_t a = ordinal_of_step_[step];
-  SortedStack& stack = shard.stacks[a];
-  // Settle bumps targeting this stack first: they belong to inserts that
-  // preceded e, and e's own fresh rip must not be double-counted by a
-  // later flush.
-  if (options_.cache_rip && a > 0) flush_stack_rips(shard, a);
-  const std::size_t idx = stack.insert(e.ts, e.id, handle);
-  stats_.note_instance_added();
-  trace_span(a == 0 ? TraceKind::kStart : TraceKind::kStep, e.ts, clock_.now(),
-             nullptr, &e);
-  if (options_.cache_rip) {
-    stack[idx].rip = a == 0 ? 0 : shard.stacks[a - 1].count_ts_below(e.ts);
-    if (a + 1 < shard.stacks.size()) stage_rip_bump(shard, a + 1, e.ts);
-    // The left phase descends through stacks a−1…1 reading cached rips;
-    // settle those before constructing. (The anchor's own rip is fresh,
-    // and the right phase never reads rips.)
-    for (std::size_t s = 1; s < a; ++s) flush_stack_rips(shard, s);
-  }
-  construct_anchored(shard, key, a, idx);
-}
-
-void OooEngine::construct_anchored(Shard& shard, const Value& key,
-                                   std::size_t anchor_ordinal, std::size_t anchor_index) {
-  const OooInstance& anchor = shard.stacks[anchor_ordinal][anchor_index];
-  const std::size_t anchor_step = step_of_positive_[anchor_ordinal];
-  bindings_[anchor_step] = &arena_.get(anchor.handle);
-  ++stats_.construction_visits;
-  // Multi-step predicates are never ready at position 0, so descend
-  // straight away.
-  if (anchor_ordinal > 0) {
-    left_phase(shard, key, anchor_ordinal - 1, anchor_ordinal, anchor);
-  } else if (step_of_positive_.size() > 1) {
-    right_phase(shard, key, 1, anchor_ordinal);
-  } else {
-    complete_candidate(shard, key, anchor_ordinal);
-  }
-  bindings_[anchor_step] = nullptr;
-}
-
-void OooEngine::left_phase(Shard& shard, const Value& key, std::size_t ordinal,
-                           std::size_t anchor_ordinal, const OooInstance& successor) {
-  SortedStack& stack = shard.stacks[ordinal];
-  const std::size_t step = step_of_positive_[ordinal];
-  const Timestamp anchor_ts = bindings_[step_of_positive_[anchor_ordinal]]->ts;
-  // Predecessor range: everything with ts strictly below the successor's,
-  // loosely floored by the window anchored at the anchor (the eventual
-  // last binding is >= anchor_ts, so nothing below anchor_ts − W can be
-  // the first element of a valid match; the exact window check happens in
-  // the right phase against the actual first binding).
-  const std::size_t ub = options_.cache_rip
-                             ? successor.rip
-                             : stack.count_ts_below(successor.ts);
-  const std::size_t floor = stack.count_ts_below(anchor_ts - query_.window());
-  const std::size_t sched_pos = anchor_ordinal - ordinal;
-  for (std::size_t v = ub; v-- > floor;) {
-    const OooInstance& inst = stack[v];
-    ++stats_.construction_visits;
-    bindings_[step] = &arena_.get(inst.handle);
-    bool ok = true;
-    for (const std::size_t pi : anchored_schedule_[anchor_ordinal][sched_pos]) {
-      ++stats_.predicate_evals;
-      if (!query_.predicates()[pi].eval(bindings_)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      if (ordinal > 0) {
-        left_phase(shard, key, ordinal - 1, anchor_ordinal, inst);
-      } else if (anchor_ordinal + 1 < step_of_positive_.size()) {
-        right_phase(shard, key, anchor_ordinal + 1, anchor_ordinal);
-      } else {
-        complete_candidate(shard, key, anchor_ordinal);
-      }
-    }
-  }
-  bindings_[step] = nullptr;
-}
-
-void OooEngine::right_phase(Shard& shard, const Value& key, std::size_t ordinal,
-                            std::size_t anchor_ordinal) {
-  SortedStack& stack = shard.stacks[ordinal];
-  const std::size_t step = step_of_positive_[ordinal];
-  const Timestamp prev_ts = bindings_[step_of_positive_[ordinal - 1]]->ts;
-  const Timestamp first_ts = bindings_[step_of_positive_[0]]->ts;
-  const Timestamp ceiling = first_ts + query_.window();
-  for (std::size_t v = stack.first_ts_above(prev_ts); v < stack.size(); ++v) {
-    const OooInstance& inst = stack[v];
-    if (inst.ts > ceiling) break;  // sorted: all further fail the window
-    ++stats_.construction_visits;
-    bindings_[step] = &arena_.get(inst.handle);
-    bool ok = true;
-    for (const std::size_t pi : anchored_schedule_[anchor_ordinal][ordinal]) {
-      ++stats_.predicate_evals;
-      if (!query_.predicates()[pi].eval(bindings_)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      if (ordinal + 1 < step_of_positive_.size()) {
-        right_phase(shard, key, ordinal + 1, anchor_ordinal);
-      } else {
-        complete_candidate(shard, key, anchor_ordinal);
-      }
-    }
-  }
-  bindings_[step] = nullptr;
-}
-
-void OooEngine::complete_candidate(Shard& shard, const Value& key,
-                                   std::size_t /*anchor_ordinal*/) {
-  std::vector<NegCheck> checks;
-  checks.reserve(step_of_negated_.size());
-  Timestamp seal_ts = kMinTimestamp;
-  for (std::size_t i = 0; i < step_of_negated_.size(); ++i) {
-    const CompiledStep& s = query_.step(step_of_negated_[i]);
-    const Timestamp lo = bindings_[s.prev_positive]->ts;
-    const Timestamp hi = bindings_[s.next_positive]->ts;
-    checks.push_back(NegCheck{i, lo, hi});
-    seal_ts = std::max(seal_ts, hi);
-  }
-  if (!checks.empty() && violated_now(shard, checks, bindings_)) return;
-
-  Match m;
-  m.events.reserve(step_of_positive_.size());
-  for (const std::size_t p : step_of_positive_) m.events.push_back(*bindings_[p]);
-
-  if (checks.empty() || sealed_at_arrival(seal_ts)) {
-    m.detection_clock = clock_.now();
-    EngineObs::observe(obs_.latency_wall_us, 0);  // emitted within the arrival call
-    emit(std::move(m));
-    return;
-  }
-  if (options_.aggressive_negation) {
-    // Optimistic emission: report now, remember the match while it is
-    // still revocable so a late negative can retract it. Keep the list
-    // ordered by seal_ts (insert after equal keys — stable).
-    m.detection_clock = clock_.now();
-    const auto it = std::upper_bound(
-        unsealed_emitted_.begin(), unsealed_emitted_.end(), seal_ts,
-        [](Timestamp t, const PendingMatch& pm) { return t < pm.seal_ts; });
-    unsealed_emitted_.insert(it, PendingMatch{m, std::move(checks), seal_ts, key});
-    stats_.note_pending_added();
-    EngineObs::observe(obs_.latency_wall_us, 0);
-    emit(std::move(m));
-    return;
-  }
-  PendingMatch pm{std::move(m), std::move(checks), seal_ts, key};
-  if (obs_.enabled()) pm.held_since = std::chrono::steady_clock::now();
-  pending_.push(std::move(pm));
-  stats_.note_pending_added();
-}
-
-void OooEngine::handle_late_negative(const Value& key, const Event& e,
-                                     std::size_t step) {
-  const std::size_t ordinal = ordinal_of_step_[step];
-  // A victim needs e.ts strictly inside some interval (lo, hi), and
-  // hi <= seal_ts, so only entries with seal_ts > e.ts qualify — the
-  // ordered list makes that a suffix.
-  auto it = std::upper_bound(
-      unsealed_emitted_.begin(), unsealed_emitted_.end(), e.ts,
-      [](Timestamp t, const PendingMatch& pm) { return t < pm.seal_ts; });
-  while (it != unsealed_emitted_.end()) {
-    PendingMatch& pm = *it;
-    bool retract = false;
-    if (!partitioned_ || pm.shard_key == key) {
-      for (const NegCheck& c : pm.checks) {
-        if (c.ordinal != ordinal || e.ts <= c.lo || e.ts >= c.hi) continue;
-        std::vector<const Event*> bindings(query_.num_steps(), nullptr);
-        for (std::size_t k = 0; k < step_of_positive_.size(); ++k)
-          bindings[step_of_positive_[k]] = &pm.match.events[k];
-        bindings[step] = &e;
-        retract = true;
-        for (const std::size_t pi : neg_check_predicates_[ordinal]) {
-          ++stats_.predicate_evals;
-          if (!query_.predicates()[pi].eval(bindings)) {
-            retract = false;
-            break;
-          }
-        }
-        if (retract) break;
-      }
-    }
-    if (retract) {
-      trace_span(TraceKind::kRetract, pm.match.last_ts(), clock_.now(), &pm.match, &e);
-      sink_.on_retract(pm.match);
-      ++stats_.matches_retracted;
-      EngineObs::inc(obs_.retractions);
-      --stats_.pending_matches;
-      it = unsealed_emitted_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool OooEngine::violated_now(Shard& shard, const std::vector<NegCheck>& checks,
-                             std::span<const Event*> bindings) {
-  for (const NegCheck& c : checks) {
-    if (shard.negatives[c.ordinal].violates(arena_, c.lo, c.hi, bindings,
-                                            stats_.predicate_evals))
-      return true;
-  }
-  return false;
-}
-
-void OooEngine::process_pending() { process_pending_up_to(seal_watermark_); }
-
-void OooEngine::process_pending_up_to(Timestamp watermark) {
-  // Same sealing rule as sealed(), evaluated against a possibly earlier
-  // watermark: replaying a mid-batch cadence point must not resolve
-  // matches that per-event would still have been pending at that moment.
-  const auto sealed_at = [watermark](Timestamp interval_end) {
-    return watermark >= interval_end - 1;
-  };
-  while (!pending_.empty() && clock_.started() &&
-         sealed_at(pending_.top().seal_ts)) {
-    PendingMatch pm = pending_.top();
-    pending_.pop();
-    --stats_.pending_matches;
-    resolve_pending(std::move(pm));
-  }
-  if (!unsealed_emitted_.empty() && clock_.started()) {
-    // Sealed entries are final — no retraction can reach them anymore.
-    // sealed_at() is monotone in seal_ts, so they form a prefix of the
-    // ordered list: pop it instead of sweeping everything.
-    std::size_t removed = 0;
-    while (!unsealed_emitted_.empty() &&
-           sealed_at(unsealed_emitted_.front().seal_ts)) {
-      const PendingMatch& pm = unsealed_emitted_.front();
-      trace_span(TraceKind::kSeal, pm.match.last_ts(), clock_.now(), &pm.match);
-      unsealed_emitted_.pop_front();
-      ++removed;
-    }
-    stats_.pending_matches -= removed;
-    EngineObs::inc(obs_.seals, removed);
-  }
-}
-
-void OooEngine::resolve_pending(PendingMatch&& pm) {
-  trace_span(TraceKind::kSeal, pm.match.last_ts(), clock_.now(), &pm.match);
-  EngineObs::inc(obs_.seals);
-  Shard* shard = find_shard(pm.shard_key);
-  if (shard != nullptr) {
-    // Rebuild the positive bindings for negation-predicate evaluation.
-    std::vector<const Event*> bindings(query_.num_steps(), nullptr);
-    for (std::size_t k = 0; k < step_of_positive_.size(); ++k)
-      bindings[step_of_positive_[k]] = &pm.match.events[k];
-    if (violated_now(*shard, pm.checks, bindings)) {
-      ++stats_.matches_cancelled;
-      EngineObs::inc(obs_.cancels);
-      trace_span(TraceKind::kCancel, pm.match.last_ts(), clock_.now(), &pm.match);
-      return;
-    }
-  }
-  if (obs_.latency_wall_us != nullptr) {
-    const auto waited = std::chrono::steady_clock::now() - pm.held_since;
-    obs_.latency_wall_us->observe_signed(
-        std::chrono::duration_cast<std::chrono::microseconds>(waited).count());
-  }
-  pm.match.detection_clock = clock_.now();
-  emit(std::move(pm.match));
-}
-
-void OooEngine::finish() {
-  // End of stream: every interval is final.
-  while (!pending_.empty()) {
-    PendingMatch pm = pending_.top();
-    pending_.pop();
-    --stats_.pending_matches;
-    resolve_pending(std::move(pm));
-  }
-  // Aggressive policy: unsealed emissions become final — already
-  // delivered, nothing left to do beyond dropping the revocation state.
-  stats_.pending_matches -= unsealed_emitted_.size();
-  unsealed_emitted_.clear();
-  apply_adaptive_shrink();
-  purge_pass(seal_watermark_);
-}
-
-void OooEngine::apply_adaptive_shrink() {
-  if (!options_.adaptive_slack || !clock_.started()) return;
-  // A purge pass is the only point where the effective slack may SHRINK:
-  // growing mid-stream is always safe (it merely defers future purges),
-  // but shrinking advances the horizon, and doing that between purges
-  // would let sealing race ahead of the state the estimator said was
-  // still needed. The watermark keeps the resize monotone either way.
-  const Timestamp est = estimator_.estimate();
-  if (est < clock_.slack()) {
-    clock_.set_slack(est);
-    ++stats_.slack_shrinks;
-  }
-  seal_watermark_ = std::max(seal_watermark_, clock_.seal_point());
-}
-
-void OooEngine::purge_pass(Timestamp horizon) {
-  if (!clock_.started()) return;
-  // See DESIGN.md §3.3: any future admitted event has ts > seal
-  // watermark, and all match elements fit in a window of width W, so
-  // positive state below watermark − W + 1 is dead. Negatives are
-  // consulted until the intervals that could contain them seal, which
-  // happens by clock ≈ ts + W + K; the extra −1 absorbs the strictness
-  // of interval bounds. (With a fixed K this is exactly the paper's
-  // clock − K − W horizon; deriving it from the monotone watermark keeps
-  // adaptive resizes safe — the horizon never moves backwards and never
-  // overtakes a sealing decision.) `horizon` is the watermark at the
-  // cadence crossing being replayed — the current one at finish().
-  const Timestamp pos_threshold =
-      horizon < kMinTimestamp + query_.window()
-          ? kMinTimestamp + 1
-          : horizon - query_.window() + 1;
-  const Timestamp neg_threshold = pos_threshold - 1;
-  ++stats_.purge_passes;
-  EngineObs::inc(obs_.purge_passes);
-  trace_span(TraceKind::kPurge, pos_threshold, clock_.now());
-  if (partitioned_) {
-    for (auto it = shards_.begin(); it != shards_.end();) {
-      purge_shard(it->second, pos_threshold, neg_threshold);
-      const bool empty =
-          std::all_of(it->second.stacks.begin(), it->second.stacks.end(),
-                      [](const SortedStack& s) { return s.empty(); }) &&
-          std::all_of(it->second.negatives.begin(), it->second.negatives.end(),
-                      [](const NegativeBuffer& b) { return b.size() == 0; });
-      it = empty ? shards_.erase(it) : std::next(it);
-    }
-  } else {
-    purge_shard(root_, pos_threshold, neg_threshold);
-  }
-}
-
-void OooEngine::write_shard(CheckpointWriter& w, const Shard& sh) const {
-  w.tag("shd");
-  w.u64(sh.stacks.size());
-  for (const SortedStack& st : sh.stacks) {
-    w.u64(st.size());
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      w.event(arena_.get(st[i].handle));
-      w.u64(st[i].rip);
-    }
-  }
-  w.u64(sh.negatives.size());
-  for (const NegativeBuffer& nb : sh.negatives) write_negative_buffer(w, nb, arena_);
-}
-
-OooEngine::Shard OooEngine::read_shard(CheckpointReader& r) {
-  r.expect_tag("shd");
-  Shard sh = make_shard();
-  if (r.count() != sh.stacks.size())
-    throw CheckpointError("ooo checkpoint stack count disagrees with query");
-  for (SortedStack& st : sh.stacks) {
-    const std::size_t n = r.count(8);
-    std::vector<OooInstance> items;
-    items.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Event e = r.event();
-      const std::size_t rip = static_cast<std::size_t>(r.u64());
-      items.push_back(OooInstance{e.ts, e.id, arena_.alloc(e), rip});
-    }
-    st.set_items(std::move(items));
-  }
-  if (r.count() != sh.negatives.size())
-    throw CheckpointError("ooo checkpoint negation count disagrees with query");
-  for (NegativeBuffer& nb : sh.negatives) read_negative_buffer(r, nb, arena_);
-  return sh;
-}
-
-void OooEngine::write_pending(CheckpointWriter& w, const PendingMatch& pm) {
-  w.tag("pnd");
-  w.match(pm.match);
-  w.u64(pm.checks.size());
-  for (const NegCheck& c : pm.checks) {
-    w.u64(c.ordinal);
-    w.i64(c.lo);
-    w.i64(c.hi);
-  }
-  w.i64(pm.seal_ts);
-  w.value(pm.shard_key);
-  // held_since is a wall-clock point; restore re-stamps it with now(), so
-  // the sealing-wait histogram charges recovery wait to the new run.
-}
-
-OooEngine::PendingMatch OooEngine::read_pending(CheckpointReader& r) {
-  r.expect_tag("pnd");
-  PendingMatch pm;
-  pm.match = r.match();
-  const std::size_t n = r.count(8);
-  pm.checks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    NegCheck c;
-    c.ordinal = static_cast<std::size_t>(r.u64());
-    c.lo = r.i64();
-    c.hi = r.i64();
-    pm.checks.push_back(c);
-  }
-  pm.seal_ts = r.i64();
-  pm.shard_key = r.value();
-  pm.held_since = std::chrono::steady_clock::now();
-  return pm;
-}
-
 void OooEngine::snapshot(CheckpointWriter& w) const {
   write_engine_guard(w, name(), query_.text());
-  w.stats(stats_);
-  write_clock(w, clock_);
-  write_estimator(w, estimator_);
-  write_admission(w, admission_);
-  w.i64(seal_watermark_);
-  w.u64(events_since_purge_);
-  w.boolean(partitioned_);
-  w.boolean(options_.cache_rip);
-  if (partitioned_) {
-    std::vector<const std::pair<const Value, Shard>*> entries;
-    entries.reserve(shards_.size());
-    for (const auto& kv : shards_) entries.push_back(&kv);
-    std::sort(entries.begin(), entries.end(), [](const auto* a, const auto* b) {
-      return a->first.compare(b->first) < 0;
-    });
-    w.u64(entries.size());
-    for (const auto* kv : entries) {
-      w.value(kv->first);
-      write_shard(w, kv->second);
-    }
-  } else {
-    write_shard(w, root_);
-  }
-  // The pending heap's internal layout depends on insertion history;
-  // serialize its contents canonically sorted so equal logical state
-  // snapshots to equal bytes. Restore re-heapifies by pushing.
-  auto heap = pending_;
-  std::vector<PendingMatch> pend;
-  pend.reserve(heap.size());
-  while (!heap.empty()) {
-    pend.push_back(heap.top());
-    heap.pop();
-  }
-  std::sort(pend.begin(), pend.end(), [](const PendingMatch& a, const PendingMatch& b) {
-    if (a.seal_ts != b.seal_ts) return a.seal_ts < b.seal_ts;
-    return match_key(a.match) < match_key(b.match);
-  });
-  w.u64(pend.size());
-  for (const PendingMatch& pm : pend) write_pending(w, pm);
-  // unsealed_emitted_ is kept in deterministic (seal_ts, insertion)
-  // order; preserve verbatim.
-  w.u64(unsealed_emitted_.size());
-  for (const PendingMatch& pm : unsealed_emitted_) write_pending(w, pm);
+  core_.snapshot(w);
 }
 
 void OooEngine::restore(CheckpointReader& r) {
   read_engine_guard(r, name(), query_.text());
-  stats_ = r.stats();
-  read_clock(r, clock_);
-  read_estimator(r, estimator_);
-  read_admission(r, admission_);
-  seal_watermark_ = r.i64();
-  events_since_purge_ = static_cast<std::size_t>(r.u64());
-  if (r.boolean() != partitioned_)
-    throw CheckpointError("ooo checkpoint partitioning disagrees with options");
-  if (r.boolean() != options_.cache_rip)
-    throw CheckpointError("ooo checkpoint cache_rip disagrees with options");
-  // Structures are rebuilt wholesale; every live handle dies with them.
-  rip_dirty_shards_.clear();
-  arena_.clear();
-  shards_.clear();
-  if (partitioned_) {
-    const std::size_t n = r.count();
-    shards_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      Value key = r.value();
-      Shard sh = read_shard(r);
-      shards_.emplace(std::move(key), std::move(sh));
-    }
-  } else {
-    root_ = read_shard(r);
-  }
-  pending_ = {};
-  const std::size_t n_pending = r.count();
-  for (std::size_t i = 0; i < n_pending; ++i) pending_.push(read_pending(r));
-  unsealed_emitted_.clear();
-  const std::size_t n_unsealed = r.count();
-  for (std::size_t i = 0; i < n_unsealed; ++i) unsealed_emitted_.push_back(read_pending(r));
-}
-
-void OooEngine::purge_shard(Shard& shard, Timestamp pos_threshold,
-                            Timestamp neg_threshold) {
-  std::size_t removed_prev = 0;
-  for (std::size_t k = 0; k < shard.stacks.size(); ++k) {
-    const std::size_t removed = shard.stacks[k].purge_before(pos_threshold, arena_);
-    if (removed) {
-      stats_.note_instances_removed(removed);
-      EngineObs::inc(obs_.purged, removed);
-    }
-    // Fix survivors' RIPs after the previous stack shrank. Doing this
-    // after this stack's own purge matters: a purged instance here may
-    // have had ts below some purged predecessors and thus a smaller rip.
-    if (options_.cache_rip && k > 0) shard.stacks[k].drop_rips(removed_prev);
-    removed_prev = removed;
-  }
-  for (NegativeBuffer& nb : shard.negatives) {
-    const std::size_t removed = nb.purge_before(neg_threshold, arena_);
-    if (removed) {
-      stats_.note_unbuffered(removed);
-      EngineObs::inc(obs_.purged, removed);
-    }
-  }
+  core_.restore(r);
 }
 
 }  // namespace oosp

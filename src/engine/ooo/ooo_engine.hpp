@@ -1,253 +1,45 @@
-// Native out-of-order engine — the paper's contribution.
+// Native out-of-order engine — the paper's contribution, for one query.
 //
-// Processes the arrival stream directly, with no reorder buffer:
-//
-//  * Scan: each relevant event splices into the timestamp-ordered stack
-//    of every step it satisfies (sorted_stack.hpp). Late events land in
-//    the middle; in-order events append in O(1).
-//
-//  * Retroactive construction: a newly inserted event e at step i can
-//    only create matches that CONTAIN e, so construction is anchored at
-//    e — enumerate leftward (steps i−1…0, timestamps descending below
-//    e.ts) then rightward (steps i+1…n−1, ascending, bounded by the
-//    window anchored at the step-0 binding). Every new match is emitted
-//    exactly once: at the insertion of its last-arriving constituent.
-//    When the stream happens to be in order this degenerates to exactly
-//    the classic trigger-driven leftward construction, so ordered input
-//    pays (almost) nothing for out-of-order support.
-//
-//  * Negation sealing: a candidate match with negated steps is checked
-//    against the negatives buffered so far and, if any of its negation
-//    intervals could still admit a late negative (interval end not yet
-//    K-sealed by the clock), parked in a pending heap and resolved at
-//    the first clock advance that seals it. Pure-positive matches are
-//    emitted immediately.
-//
-//  * K-slack purge: state with ts < clock − W − K can never join a new
-//    match (any future event has ts ≥ clock − K, and a shared window of
-//    width W cannot span both); purging runs every purge_period events.
-//
-//  * Slack-violation safety net: all seal/purge decisions are taken
-//    against a MONOTONE watermark (the high-water mark of the clock's
-//    seal point), so retuning K at runtime never rewinds a decision. An
-//    event at or below the watermark broke the effective contract; the
-//    configured LatePolicy decides whether it is admitted best-effort,
-//    dropped, or quarantined for drain_quarantine(). With adaptive_slack
-//    the effective K follows a windowed lateness quantile: growth applies
-//    immediately (only delays future sealing/purging — always safe),
-//    shrink waits for the next purge boundary.
-//
-//  * Batched ingestion (on_batch): admission, clock observation, and
-//    contract decisions run per event in ARRIVAL order (identical to the
-//    per-event path), then the admitted slice is sorted by (ts, id) and
-//    spliced in with RIP maintenance amortized across the batch (bump
-//    passes are staged per stack and flushed lazily: a stack's pending
-//    bumps apply before anything reads its RIPs or inserts into it).
-//    Sealing and purging run once per batch. on_event() is a batch of
-//    one, so there is a single code path and the per-event guarantees
-//    carry over verbatim. Events live in a pooled EventArena; stacks and
-//    negation buffers hold refcounted 32-bit handles.
+// A PatternEngine face over an SscCore with a single member
+// (ssc_core.hpp): every call forwards to the core, which runs the scan,
+// retroactive construction, negation sealing, K-slack purging, the
+// slack-violation safety net and batched ingestion. The face adds only
+// the engine guard header in front of the core's checkpoint frame.
 //
 // Options honoured: slack (K), purge_period, partition_by_key (hash
-// partition all state by the query's equi-join key), cache_rip
-// (incrementally maintained RIPs instead of per-construction binary
-// search), late_policy + quarantine_capacity, adaptive_slack +
-// slack_estimator, dedup_by_id, registry (schema validation).
+// partition all state by the query's equi-join key), late_policy +
+// quarantine_capacity, adaptive_slack + slack_estimator, dedup_by_id,
+// registry (schema validation), aggressive_negation, metrics, trace.
 #pragma once
 
-#include <chrono>
-#include <deque>
-#include <optional>
-#include <queue>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
-#include "common/event_arena.hpp"
-#include "engine/core/admission.hpp"
 #include "engine/core/engine.hpp"
-#include "engine/core/negative_buffer.hpp"
-#include "engine/ooo/sorted_stack.hpp"
-#include "stream/clock.hpp"
-#include "stream/slack_estimator.hpp"
+#include "engine/ooo/ssc_core.hpp"
 
 namespace oosp {
 
 class OooEngine final : public PatternEngine {
  public:
-  explicit OooEngine(EngineContext ctx);
+  explicit OooEngine(EngineContext ctx)
+      : PatternEngine(std::move(ctx)),
+        core_({SscMember{ctx_.query, ctx_.sink}}, options_, obs_) {}
 
-  void on_event(const Event& e) override;
-  void on_batch(std::span<const Event* const> batch) override;
-  void finish() override;
+  void on_event(const Event& e) override { core_.on_event(e); }
+  void on_batch(std::span<const Event* const> batch) override { core_.on_batch(batch); }
+  void finish() override { core_.finish(); }
   std::string name() const override {
     return options_.aggressive_negation ? "ooo-aggressive" : "ooo-native";
   }
-  EngineStats stats_snapshot() const override;
-  std::vector<Event> drain_quarantine() override {
-    return admission_.drain_quarantine();
-  }
+  EngineStats stats_snapshot() const override { return core_.member_stats(0); }
+  std::vector<Event> drain_quarantine() override { return core_.drain_quarantine(); }
   void snapshot(CheckpointWriter& w) const override;
   void restore(CheckpointReader& r) override;
 
  private:
-  struct Shard {
-    std::vector<SortedStack> stacks;        // per positive ordinal
-    std::vector<NegativeBuffer> negatives;  // per negated ordinal
-    // Batched RIP maintenance: pending_bumps[s] holds the timestamps of
-    // this batch's inserts into stack s−1 whose +1 bump of stack s has
-    // not been applied yet (ascending — phase C runs in (ts, id) order).
-    // Lazily sized on first use; empty between batches.
-    std::vector<std::vector<Timestamp>> pending_bumps;
-    bool rip_dirty = false;  // registered in rip_dirty_shards_
-  };
-
-  struct NegCheck {
-    std::size_t ordinal;  // negated ordinal
-    Timestamp lo, hi;     // open interval (lo, hi)
-  };
-
-  struct PendingMatch {
-    Match match;
-    std::vector<NegCheck> checks;
-    Timestamp seal_ts;  // max interval end; final once clock >= seal_ts + K
-    Value shard_key;    // meaningful only when partitioned
-    // Wall clock at candidate completion; the wall-time detection-latency
-    // histogram charges the sealing wait against it. Only captured when
-    // metrics are enabled (a steady_clock read per HELD candidate, never
-    // per event).
-    std::chrono::steady_clock::time_point held_since{};
-  };
-  struct PendingLater {
-    bool operator()(const PendingMatch& a, const PendingMatch& b) const noexcept {
-      return a.seal_ts > b.seal_ts;
-    }
-  };
-
-  Shard make_shard() const;
-  Shard& shard_for(const Value& key);
-  Shard* find_shard(const Value& key);
-  void write_shard(CheckpointWriter& w, const Shard& sh) const;
-  Shard read_shard(CheckpointReader& r);
-  static void write_pending(CheckpointWriter& w, const PendingMatch& pm);
-  static PendingMatch read_pending(CheckpointReader& r);
-
-  bool passes_local(std::size_t step, const Event& e);
-  void insert_positive(Shard& shard, const Value& key, const Event& e,
-                       EventHandle handle, std::size_t step);
-  void construct_anchored(Shard& shard, const Value& key, std::size_t anchor_ordinal,
-                          std::size_t anchor_index);
-  void left_phase(Shard& shard, const Value& key, std::size_t ordinal,
-                  std::size_t anchor_ordinal, const OooInstance& successor);
-  void right_phase(Shard& shard, const Value& key, std::size_t ordinal,
-                   std::size_t anchor_ordinal);
-  void complete_candidate(Shard& shard, const Value& key, std::size_t anchor_ordinal);
-  bool violated_now(Shard& shard, const std::vector<NegCheck>& checks,
-                    std::span<const Event*> bindings);
-  void process_pending();
-  // Resolve pending/unsealed matches whose intervals were sealed by the
-  // given watermark (not necessarily the current one) — used to replay
-  // per-event seal points inside a batch.
-  void process_pending_up_to(Timestamp watermark);
-  void resolve_pending(PendingMatch&& pm);
-  // Aggressive policy: a late negative may invalidate an already-emitted,
-  // not-yet-sealed match — find the victims and issue retractions.
-  void handle_late_negative(const Value& key, const Event& e, std::size_t step);
-  // Adaptive K shrink — legal only at purge cadence points (see the
-  // comment in the implementation); no-op when adaptive slack is off.
-  void apply_adaptive_shrink();
-  // One purge pass with thresholds derived from `horizon` — the seal
-  // watermark in effect when the purge-period counter crossed, which in
-  // a batch may be earlier than the current watermark.
-  void purge_pass(Timestamp horizon);
-  void purge_shard(Shard& shard, Timestamp pos_threshold, Timestamp neg_threshold);
-
-  // Batched RIP bookkeeping (cache_rip only). Invariant: a stack's
-  // pending bumps are applied before any read of its instances' rips and
-  // before any insert into it; everything flushes by the end of on_batch,
-  // so snapshots and purges always see settled rips.
-  void stage_rip_bump(Shard& shard, std::size_t stack, Timestamp ts);
-  void flush_stack_rips(Shard& shard, std::size_t stack);
-  void flush_all_rips();
-
-  bool sealed(Timestamp interval_end) const noexcept {
-    // No future event can fall strictly inside an interval ending at
-    // `interval_end` once every timestamp <= interval_end − 1 is sealed.
-    // Evaluated against the monotone watermark, not the instantaneous
-    // seal point, so a later slack increase cannot un-seal anything.
-    return seal_watermark_ >= interval_end - 1;
-  }
-
-  // Sealing as the in-flight arrival sees it: identical to sealed() on
-  // the per-event path, potentially earlier than the batch-end watermark
-  // inside on_batch (see AdmittedEvent).
-  bool sealed_at_arrival(Timestamp interval_end) const noexcept {
-    return arrival_watermark_ >= interval_end - 1;
-  }
-
-  // Adaptive K: apply estimator growth (safe at any time); called per
-  // event. Shrink is applied inside maybe_purge() only.
-  void maybe_grow_slack();
-
-  StreamClock clock_;
-  SlackEstimator estimator_;
-  AdmissionControl admission_{options_, stats_};
-  // One Event copy per admitted relevant arrival; stacks and negation
-  // buffers reference it by handle. Cleared and rebuilt on restore.
-  EventArena arena_;
-  // High-water mark of clock_.seal_point() over the run: every sealing
-  // and purge decision ever taken used a horizon <= this. An arriving
-  // event with ts <= seal_watermark_ violates the effective contract.
-  Timestamp seal_watermark_ = kMinTimestamp;
-  bool partitioned_ = false;
-  std::vector<std::size_t> ordinal_of_step_;
-  std::vector<std::size_t> step_of_positive_;
-  std::vector<std::size_t> step_of_negated_;
-  // anchored_schedule_[a][pos]: predicate ids ready at position pos of
-  // the binding order (a, a−1, …, 0, a+1, …, n−1) — ordinals.
-  std::vector<std::vector<std::vector<std::size_t>>> anchored_schedule_;
-  std::vector<const Event*> bindings_;  // by pattern step index
-  std::vector<const Event*> single_;
-  std::size_t events_since_purge_ = 0;
-
-  // Non-local predicates referencing each negated ordinal — evaluated
-  // directly when the aggressive policy probes a late negative against an
-  // emitted-but-unsealed match.
-  std::vector<std::vector<std::size_t>> neg_check_predicates_;
-
-  Shard root_;
-  std::unordered_map<Value, Shard, ValueHasher> shards_;
-  std::priority_queue<PendingMatch, std::vector<PendingMatch>, PendingLater> pending_;
-  // Aggressive policy: emitted matches whose negation intervals have not
-  // sealed yet — still revocable. Kept ordered by seal_ts so sealing
-  // pops a prefix and a late negative at ts t inspects only entries with
-  // seal_ts > t (a victim needs t strictly inside an interval ending at
-  // hi <= seal_ts), instead of rescanning the whole list per arrival.
-  std::deque<PendingMatch> unsealed_emitted_;
-
-  // on_batch scratch (admitted slice, sorted) and the shards with
-  // pending RIP bumps this batch. Pointers into shards_ are safe:
-  // unordered_map references are stable and flush_all_rips() runs before
-  // any shard can be erased (maybe_purge).
-  // Admitted slice with the seal watermark in effect at each event's
-  // arrival. Phase C completes candidates against the trigger's arrival
-  // watermark, not the batch-end one: a batch may advance the clock past
-  // a candidate's seal point before the trigger is even spliced, and
-  // treating it as already sealed would skip the pending-resolution
-  // recheck that a same-batch negative must still be able to fail.
-  struct AdmittedEvent {
-    const Event* e;
-    Timestamp wm;
-  };
-  std::vector<AdmittedEvent> batch_admitted_;
-  // Watermark at the arrival being processed by Phase C (== the current
-  // seal watermark on the per-event path).
-  Timestamp arrival_watermark_ = kMinTimestamp;
-  std::vector<Shard*> rip_dirty_shards_;
-  // Watermarks recorded at purge-period crossings inside the current
-  // batch (Phase A). The batch tail replays "seal up to mark, purge at
-  // mark" per entry so resolution sees per-event buffer state.
-  std::vector<Timestamp> batch_purge_marks_;
+  SscCore core_;
 };
 
 }  // namespace oosp

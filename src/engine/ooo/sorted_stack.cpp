@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/contracts.hpp"
-
 namespace oosp {
 
 namespace {
@@ -16,16 +14,16 @@ inline bool key_less(Timestamp ats, EventId aid, Timestamp bts, EventId bid) noe
 
 std::size_t SortedStack::insert(Timestamp ts, EventId id, EventHandle handle) {
   if (items_.empty() || key_less(items_.back().ts, items_.back().id, ts, id)) {
-    items_.push_back(OooInstance{ts, id, handle, 0});
+    items_.push_back(OooInstance{ts, id, handle});
     return items_.size() - 1;
   }
   const auto it = std::lower_bound(
-      items_.begin(), items_.end(), OooInstance{ts, id, handle, 0},
+      items_.begin(), items_.end(), OooInstance{ts, id, handle},
       [](const OooInstance& a, const OooInstance& b) {
         return key_less(a.ts, a.id, b.ts, b.id);
       });
   const auto idx = static_cast<std::size_t>(it - items_.begin());
-  items_.insert(it, OooInstance{ts, id, handle, 0});
+  items_.insert(it, OooInstance{ts, id, handle});
   return idx;
 }
 
@@ -44,34 +42,12 @@ std::size_t SortedStack::first_ts_above(Timestamp t) const noexcept {
 }
 
 std::size_t SortedStack::purge_before(Timestamp threshold, EventArena& arena) {
+  // Most stacks of a purge pass have nothing old enough; skip the search.
+  if (items_.empty() || items_.front().ts >= threshold) return 0;
   const std::size_t n = count_ts_below(threshold);
   for (std::size_t i = 0; i < n; ++i) arena.release(items_[i].handle);
   items_.erase(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(n));
   return n;
-}
-
-void SortedStack::bump_rips_from(std::size_t from, std::size_t delta) noexcept {
-  for (std::size_t i = from; i < items_.size(); ++i) items_[i].rip += delta;
-}
-
-void SortedStack::bump_rips_batch(std::span<const Timestamp> sorted_ts) noexcept {
-  if (sorted_ts.empty()) return;
-  // Entries with ts <= sorted_ts.front() are unaffected; from there both
-  // sequences are ascending, so a single merge pass assigns each entry
-  // the count of inserted timestamps strictly below its ts.
-  std::size_t j = 0;
-  for (std::size_t i = first_ts_above(sorted_ts.front()); i < items_.size(); ++i) {
-    while (j < sorted_ts.size() && sorted_ts[j] < items_[i].ts) ++j;
-    items_[i].rip += j;
-  }
-}
-
-void SortedStack::drop_rips(std::size_t removed) noexcept {
-  if (removed == 0) return;
-  for (OooInstance& inst : items_) {
-    OOSP_ASSERT(inst.rip >= removed);
-    inst.rip -= removed;
-  }
 }
 
 }  // namespace oosp

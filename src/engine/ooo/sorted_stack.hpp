@@ -5,12 +5,10 @@
 // the stack keeps instances sorted by (ts, id) and supports insertion at
 // any position, so a late event splices in exactly where its timestamp
 // puts it. The predecessor set of an instance with timestamp t in the
-// previous step's stack is then the prefix with ts < t — recovered either
-// by binary search (default) or from a cached rightmost-instance pointer
-// (RIP) that out-of-order insertions and purges maintain incrementally
-// (EngineOptions::cache_rip, ablation R-A3).
+// previous step's stack is then the prefix with ts < t, recovered by
+// binary search (cached per-instance pointers measured no faster, R-A3).
 //
-// Instances hold a 16-byte (ts, id, handle) key into the engine's
+// Instances hold a 24-byte (ts, id, handle) key into the engine's
 // EventArena rather than an owning Event copy: binary searches touch only
 // this POD node, the arena pays one attrs allocation per arrival instead
 // of one per referencing stack, and purging releases a refcount instead
@@ -18,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/event_arena.hpp"
@@ -30,10 +27,6 @@ struct OooInstance {
   Timestamp ts = 0;
   EventId id = 0;
   EventHandle handle = kNullEventHandle;
-  // Cached RIP: number of instances in the PREVIOUS step's stack with
-  // ts strictly below this instance's ts. Maintained only when the
-  // engine runs in cache_rip mode; 0 otherwise.
-  std::size_t rip = 0;
 };
 
 class SortedStack {
@@ -54,20 +47,6 @@ class SortedStack {
   // arena reference; returns how many.
   std::size_t purge_before(Timestamp threshold, EventArena& arena);
 
-  // Adds delta to the rip of every instance in [from, size()).
-  void bump_rips_from(std::size_t from, std::size_t delta) noexcept;
-
-  // Batched form of bump_rips_from for a run of inserts into the
-  // PREVIOUS stack: `sorted_ts` holds the inserted timestamps in
-  // ascending order, and each instance's rip grows by the number of
-  // entries strictly below its ts. One pass over the suffix that can be
-  // affected, instead of one bump pass per insert.
-  void bump_rips_batch(std::span<const Timestamp> sorted_ts) noexcept;
-
-  // Subtracts `removed` from every rip (after the previous stack purged
-  // `removed` instances). Every live rip must be >= removed.
-  void drop_rips(std::size_t removed) noexcept;
-
   // Checkpoint support (runtime/checkpoint.hpp). items() is already in
   // the canonical (ts, id) order; set_items() trusts its input to be and
   // to carry one arena reference per instance.
@@ -77,7 +56,6 @@ class SortedStack {
   bool empty() const noexcept { return items_.empty(); }
   std::size_t size() const noexcept { return items_.size(); }
   const OooInstance& operator[](std::size_t i) const noexcept { return items_[i]; }
-  OooInstance& operator[](std::size_t i) noexcept { return items_[i]; }
 
  private:
   std::vector<OooInstance> items_;

@@ -5,7 +5,7 @@
 //
 //   offset  size  field
 //   0       4     magic "OSPC"
-//   4       4     format version (u32; currently 3)
+//   4       4     format version (u32; currently 4)
 //   8       8     payload length in bytes (u64)
 //   16      n     payload
 //   16+n    4     CRC-32 (IEEE, reflected) over the payload
@@ -71,7 +71,9 @@ inline constexpr std::uint32_t kMagic = 0x4350534Fu;  // "OSPC" little-endian
 // ahead of the per-query solo engines.
 // v3: AggEngine frames ("agk" blocks) — per-key aggregation trees and
 // open-window state for AGG queries.
-inline constexpr std::uint32_t kVersion = 3;
+// v4: solo OOO engines and shared-scan groups write one SSC core block
+// ("ssc"); stack entries lose the cached-RIP field.
+inline constexpr std::uint32_t kVersion = 4;
 inline constexpr std::size_t kHeaderSize = 16;  // magic + version + payload length
 inline constexpr std::size_t kTrailerSize = 4;  // crc32
 

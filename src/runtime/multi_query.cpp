@@ -61,15 +61,15 @@ void MultiQueryRunner::build() const {
   groups_.reserve(plan.groups.size());
   for (std::size_t g = 0; g < plan.groups.size(); ++g) {
     const ScanGroupPlan& gp = plan.groups[g];
-    std::vector<SharedScanMember> members;
+    std::vector<SscMember> members;
     members.reserve(gp.members.size());
     for (const QueryId id : gp.members)
-      members.push_back(SharedScanMember{id, registrations_[id].query});
+      members.push_back(SscMember{registrations_[id].query, std::make_shared<TagSink>(sink_, id)});
     // Group members were bucketed on options equality, so the first
     // member's options are the group's options.
-    groups_.push_back(std::make_unique<SharedScanGroup>(
-        gp, std::move(members), registrations_[gp.members.front()].options,
-        sink_));
+    const EngineOptions& options = registrations_[gp.members.front()].options;
+    const EngineObs obs = EngineObs::create(options.metrics, /*arrival_side=*/true);
+    groups_.push_back(std::make_unique<SscCore>(std::move(members), options, obs));
     for (std::size_t mi = 0; mi < gp.members.size(); ++mi) {
       entries_[gp.members[mi]].group = g;
       entries_[gp.members[mi]].member = mi;

@@ -3,10 +3,10 @@
 // A production deployment rarely runs a single query. MultiQueryRunner
 // registers queries (QuerySpec), materializes an execution plan —
 // shared-scan groups for queries whose scans are physically compatible
-// (runtime/planner.hpp + engine/ooo/shared_scan.hpp), per-query engines
-// for the rest — and dispatches each arriving event through a single
-// per-type DELIVERY TABLE listing every execution slot that must see
-// events of that type, exactly once each:
+// (runtime/planner.hpp; each group runs one engine/ooo/ssc_core.hpp
+// core), per-query engines for the rest — and dispatches each arriving
+// event through a single per-type DELIVERY TABLE listing every execution
+// slot that must see events of that type, exactly once each:
 //
 //   * solo queries whose pattern references the type and shared-scan
 //     groups with a member that does (shared-scan routing: irrelevant
@@ -46,7 +46,7 @@
 #include <vector>
 
 #include "engine/engines.hpp"
-#include "engine/ooo/shared_scan.hpp"
+#include "engine/ooo/ssc_core.hpp"
 #include "runtime/planner.hpp"
 
 namespace oosp {
@@ -180,7 +180,7 @@ class MultiQueryRunner {
   // accessors that trigger it are logically const).
   mutable bool built_ = false;
   mutable std::vector<Entry> entries_;                          // by QueryId
-  mutable std::vector<std::unique_ptr<SharedScanGroup>> groups_;
+  mutable std::vector<std::unique_ptr<SscCore>> groups_;
   mutable std::vector<std::string> exclusion_reasons_;          // by QueryId
   // deliveries_[type]: every slot that must see events of this type,
   // each exactly once (relevant queries/groups + clock-tick negation

@@ -10,8 +10,8 @@ namespace {
 // Options whose divergence would make a shared admission / clock / purge
 // pipeline behave differently from each member's own engine. Members of
 // one group must agree on all of them; the remaining options either
-// cannot appear in a group (adaptive_slack, cache_rip, trace — excluded
-// below) or have no effect on pure-positive queries (aggressive_negation,
+// cannot appear in a group (adaptive_slack, trace — excluded below) or
+// have no effect on pure-positive queries (aggressive_negation,
 // obs_arrival_side is a wrapper-only concern).
 bool options_group_equal(const EngineOptions& a, const EngineOptions& b) {
   return a.slack == b.slack && a.late_policy == b.late_policy &&
@@ -21,8 +21,8 @@ bool options_group_equal(const EngineOptions& a, const EngineOptions& b) {
          a.partition_by_key == b.partition_by_key && a.metrics == b.metrics;
 }
 
-// Mirrors OooEngine's own partitioning decision so the shared scan
-// shards by key exactly when each member engine would have.
+// Mirrors the SSC core's partitioning decision for a solo query, so a
+// group shards by key exactly when each member's own engine would have.
 bool effectively_partitioned(const ScanPlanEntry& e) {
   const CompiledQuery& q = *e.query;
   return e.options.partition_by_key && q.partitionable() &&
@@ -39,8 +39,10 @@ std::string shared_scan_exclusion(const ScanPlanEntry& e) {
     return "aggregation queries keep dedicated window state";
   if (e.kind != EngineKind::kOoo)
     return "engine kind is not the native OOO engine";
+  // A group sees only its members' types; sealing a negated query needs
+  // every event of the stream as a clock tick.
   if (q.positive_steps().size() != q.num_steps())
-    return "negated steps need per-query sealing state";
+    return "a negated query needs every event as a clock tick";
   // The group clock observes the UNION of member types, so it can run
   // ahead of what a member's own engine would have seen — harmless under
   // kAdmit (lateness only moves counters), but kDrop/kQuarantine turn
@@ -49,9 +51,9 @@ std::string shared_scan_exclusion(const ScanPlanEntry& e) {
   if (e.options.late_policy != LatePolicy::kAdmit)
     return "dropping or quarantining late events depends on the per-query clock";
   if (e.options.adaptive_slack)
-    return "adaptive slack retunes the effective K per engine";
-  if (e.options.cache_rip) return "cached RIPs encode per-query chain structure";
-  if (e.options.trace) return "trace hooks observe per-engine lifecycles";
+    return "adaptive slack would learn K from the union of the members' streams";
+  if (e.options.trace)
+    return "a trace follows one query's matches, but a shared insertion serves several";
   if (effectively_partitioned(e)) {
     for (const TypeId t : q.positive_type_chain())
       if (q.uniform_partition_slot(t) == CompiledStep::npos)
@@ -76,15 +78,11 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
   };
   const auto absorb = [](Building& b, const CompiledQuery& q,
                          const std::vector<TypeId>& chain) {
+    if (!b.plan.partitioned) return;
     for (const TypeId t : chain) {
-      if (std::find(b.plan.types.begin(), b.plan.types.end(), t) ==
-          b.plan.types.end())
-        b.plan.types.push_back(t);
-      if (b.plan.partitioned) {
-        if (t >= b.plan.type_slot.size())
-          b.plan.type_slot.resize(t + 1, CompiledStep::npos);
-        b.plan.type_slot[t] = q.uniform_partition_slot(t);
-      }
+      if (t >= b.plan.type_slot.size())
+        b.plan.type_slot.resize(t + 1, CompiledStep::npos);
+      b.plan.type_slot[t] = q.uniform_partition_slot(t);
     }
   };
 
@@ -146,7 +144,6 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
       out.solo.push_back(b.plan.members.front());
       continue;
     }
-    std::sort(b.plan.types.begin(), b.plan.types.end());
     b.plan.shared_prefix_len = b.prefix.size();
     out.groups.push_back(std::move(b.plan));
   }

@@ -6,18 +6,18 @@
 // queries whose scans are physically compatible — same engine kind and
 // state-shaping options, a shared SEQ-prefix, and (when partitioned)
 // agreeing per-type key attributes — into ScanGroupPlans; at execution
-// time a SharedScanGroup (engine/ooo/shared_scan.hpp) maintains ONE set
-// of timestamp-ordered Active Instance Stacks per group while sequence
-// construction and predicate evaluation stay per-query.
+// time one SSC core (engine/ooo/ssc_core.hpp) per group maintains ONE set
+// of timestamp-ordered Active Instance Stacks for all members while
+// sequence construction and predicate evaluation stay per-query.
 //
 // Grouping is deterministic: entries are visited in registration order
 // and greedily join the first compatible open bucket, so the same query
 // set always produces the same plan (checkpoints rely on this — a group
 // is snapshotted once, and restore re-plans to the identical layout).
-// Queries that cannot share (negation, non-OOO kind, adaptive slack,
-// trace hooks, RIP caching, key-attribute conflicts) and buckets that
-// end up with a single member fall back to per-query engines, so the
-// optimization is invisible except in throughput.
+// Queries that cannot share (negation, non-OOO kind, late policies other
+// than kAdmit, adaptive slack, trace hooks, key-attribute conflicts) and
+// buckets that end up with a single member fall back to per-query
+// engines, so the optimization is invisible except in throughput.
 #pragma once
 
 #include <memory>
@@ -46,11 +46,8 @@ struct ScanGroupPlan {
   std::size_t shared_prefix_len = 0;  // longest common positive-type prefix
   bool partitioned = false;           // every member keys uniformly per type
 
-  // Union of the members' relevant types, ascending.
-  std::vector<TypeId> types;
-
   // Indexed by TypeId; the equi-join slot for that type when
-  // `partitioned` (entries for types outside `types` are npos).
+  // `partitioned` (npos for types no member uses).
   std::vector<std::size_t> type_slot;
 };
 

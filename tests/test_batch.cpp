@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -387,6 +388,18 @@ struct BatchCase {
   EngineOptions options;
 };
 
+// (key, detection clock) per match, sorted: batching must change neither
+// the match set nor the clock each match is reported at.
+using Stamped = std::vector<std::pair<MatchKey, Timestamp>>;
+
+Stamped stamped(const std::vector<Match>& matches) {
+  Stamped out;
+  out.reserve(matches.size());
+  for (const Match& m : matches) out.emplace_back(match_key(m), m.detection_clock);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 class BatchDeterminism : public ::testing::Test {
  protected:
   BatchDeterminism()
@@ -411,8 +424,6 @@ TEST_F(BatchDeterminism, EngineSweepMatchesPerEventOutput) {
   slacked.slack = slack_;
   EngineOptions slacked_unkeyed = unkeyed;
   slacked_unkeyed.slack = slack_;
-  EngineOptions no_rip = slacked;
-  no_rip.cache_rip = false;
   EngineOptions eager = slacked;
   eager.purge_period = 1;
 
@@ -426,7 +437,6 @@ TEST_F(BatchDeterminism, EngineSweepMatchesPerEventOutput) {
       {"nfa-keyed", EngineKind::kNfa, keyed_q, plain},
       {"ooo-keyed", EngineKind::kOoo, keyed_q, slacked},
       {"ooo-unkeyed", EngineKind::kOoo, unkeyed_q, slacked_unkeyed},
-      {"ooo-keyed-norip", EngineKind::kOoo, keyed_q, no_rip},
       {"ooo-keyed-eager-purge", EngineKind::kOoo, keyed_q, eager},
       {"ooo-negation", EngineKind::kOoo, neg_q, slacked},
       {"kslack-inorder", EngineKind::kKSlackInOrder, keyed_q, slacked},
@@ -436,23 +446,20 @@ TEST_F(BatchDeterminism, EngineSweepMatchesPerEventOutput) {
 
   for (const BatchCase& c : cases) {
     const CompiledQuery q = compile_query(c.query, wl_.registry());
-    const auto oracle = testutil::run_engine(c.kind, q, arrivals_, c.options);
-    std::vector<MatchKey> oracle_keys;
-    for (const Match& m : oracle) oracle_keys.push_back(match_key(m));
-    std::sort(oracle_keys.begin(), oracle_keys.end());
-    ASSERT_GT(oracle_keys.size(), 0u) << c.label << ": vacuous case";
+    const Stamped oracle = stamped(testutil::run_engine(c.kind, q, arrivals_, c.options));
+    ASSERT_GT(oracle.size(), 0u) << c.label << ": vacuous case";
     // Random partitions plus the degenerate extremes: all singletons
     // (must be the per-event path exactly) and one whole-stream batch.
     for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
       const auto sink = run_engine_batched(c.kind, q, arrivals_, c.options, seed);
-      EXPECT_EQ(sink->sorted_keys(), oracle_keys) << c.label << " seed=" << seed;
+      EXPECT_EQ(stamped(sink->matches()), oracle) << c.label << " seed=" << seed;
       EXPECT_TRUE(sink->retracted().empty()) << c.label;
     }
     const auto ones = run_engine_batched(c.kind, q, arrivals_, c.options, 0, 1);
-    EXPECT_EQ(ones->sorted_keys(), oracle_keys) << c.label << " batch=1";
+    EXPECT_EQ(stamped(ones->matches()), oracle) << c.label << " batch=1";
     const auto whole =
         run_engine_batched(c.kind, q, arrivals_, c.options, 0, arrivals_.size());
-    EXPECT_EQ(whole->sorted_keys(), oracle_keys) << c.label << " batch=all";
+    EXPECT_EQ(stamped(whole->matches()), oracle) << c.label << " batch=all";
   }
 }
 
@@ -477,18 +484,24 @@ TEST_F(BatchDeterminism, AggressiveNegationNetSetMatchesPerEvent) {
   }
 }
 
-std::vector<std::pair<QueryId, MatchKey>> run_session_stream(
-    const SyntheticWorkload& wl, const std::vector<Event>& arrivals, Timestamp slack,
-    std::size_t shards, std::size_t batch, std::uint64_t seed,
-    std::size_t checkpoint_every = 0, WorkerKillHook hook = {}) {
+// The delivered sequence: (query, key, detection clock) per match.
+using Delivery = std::vector<std::tuple<QueryId, MatchKey, Timestamp>>;
+
+// Default query set: a keyed SEQ and a negation query, which never share
+// a scan.
+std::vector<std::string> solo_queries(const SyntheticWorkload& wl) {
+  return {wl.seq_query(2, true, 200), wl.negation_query(200)};
+}
+
+Delivery run_session_stream(const SyntheticWorkload& wl, const std::vector<Event>& arrivals,
+                            Timestamp slack, std::size_t shards, std::size_t batch,
+                            std::uint64_t seed, std::size_t checkpoint_every = 0,
+                            WorkerKillHook hook = {},
+                            const std::vector<std::string>& queries = {}) {
   const auto sink = std::make_shared<CollectingTaggedSink>();
   SessionConfig cfg;
-  cfg.engine(EngineKind::kOoo)
-      .slack(slack)
-      .shards(shards)
-      .metrics(false)
-      .query(wl.seq_query(2, true, 200))
-      .query(wl.negation_query(200));
+  cfg.engine(EngineKind::kOoo).slack(slack).shards(shards).metrics(false);
+  for (const std::string& q : queries.empty() ? solo_queries(wl) : queries) cfg.query(q);
   if (checkpoint_every) {
     cfg.checkpoint_every(checkpoint_every)
         .max_restarts(10)
@@ -510,9 +523,9 @@ std::vector<std::pair<QueryId, MatchKey>> run_session_stream(
     }
   }
   session.close();
-  std::vector<std::pair<QueryId, MatchKey>> out;
+  Delivery out;
   for (const TaggedMatch& tm : sink->matches())
-    out.emplace_back(tm.query, match_key(tm.match));
+    out.emplace_back(tm.query, match_key(tm.match), tm.match.detection_clock);
   return out;
 }
 
@@ -531,6 +544,20 @@ TEST_F(BatchDeterminism, SessionInlineAndShardedMatchPerEventExactly) {
                                           arrivals_.size(), 0);
     EXPECT_EQ(giant, oracle) << "shards=" << shards << " batch=all";
   }
+  // A shared-scan group at one shard: batched and per-event runs of the
+  // same plan. (The group's union clock legitimately differs from a solo
+  // engine's, so the reference is the group itself, fed per event.)
+  const std::vector<std::string> group{wl_.seq_query(2, true, 200),
+                                       wl_.seq_query(3, true, 300),
+                                       wl_.seq_query(2, true, 150, /*min_val=*/300)};
+  const auto per_event = run_session_stream(wl_, arrivals_, slack_, 1, 0, 0, 0, {}, group);
+  ASSERT_GT(per_event.size(), 10u);
+  for (const std::uint64_t seed : {33ull, 34ull})
+    EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 1, 64, seed, 0, {}, group), per_event)
+        << "shared group, seed=" << seed;
+  EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 1, arrivals_.size(), 0, 0, {}, group),
+            per_event)
+      << "shared group, batch=all";
 }
 
 // ------------------------------------------- batched feeding + recovery

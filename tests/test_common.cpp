@@ -195,44 +195,6 @@ TEST(StatAccumulator, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
 }
 
-TEST(Histogram, QuantilesRoughlyCorrect) {
-  QuantileHistogram h(1.0, 1.1, 256);
-  Rng r(17);
-  for (int i = 0; i < 100'000; ++i) h.add(r.uniform(0.0, 1000.0));
-  EXPECT_NEAR(h.p50(), 500.0, 50.0);
-  EXPECT_NEAR(h.p95(), 950.0, 60.0);
-  EXPECT_NEAR(h.p99(), 990.0, 60.0);
-  EXPECT_EQ(h.count(), 100'000u);
-}
-
-TEST(Histogram, UnderflowMass) {
-  QuantileHistogram h(10.0, 1.5, 32);
-  for (int i = 0; i < 90; ++i) h.add(1.0);  // below min_value
-  for (int i = 0; i < 10; ++i) h.add(100.0);
-  EXPECT_EQ(h.quantile(0.5), 0.0);   // median inside the underflow mass
-  EXPECT_GT(h.quantile(0.95), 50.0);
-}
-
-TEST(Histogram, EmptyQuantileIsZero) {
-  const QuantileHistogram h;
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-}
-
-TEST(Histogram, MergeAddsCounts) {
-  QuantileHistogram a(1.0, 1.25, 64), b(1.0, 1.25, 64);
-  a.add(5.0);
-  b.add(500.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_THROW(a.merge(QuantileHistogram(2.0, 1.25, 64)), std::invalid_argument);
-}
-
-TEST(Histogram, BadConstruction) {
-  EXPECT_THROW(QuantileHistogram(0.0, 1.5, 8), std::invalid_argument);
-  EXPECT_THROW(QuantileHistogram(1.0, 1.0, 8), std::invalid_argument);
-  EXPECT_THROW(QuantileHistogram(1.0, 1.5, 1), std::invalid_argument);
-}
-
 TEST(Table, PrettyPrintAligns) {
   Table t({"name", "value"});
   t.add_row({"x", "1"});

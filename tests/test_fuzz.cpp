@@ -1,15 +1,24 @@
-// Randomized differential testing: for a sweep of seeds, generate a
-// random query and a random disorder regime, then require the native OOO
-// engine (with per-seed-rotated options), the buffered engine and — via
-// net results — the aggressive policy to reproduce the oracle exactly.
-// Any divergence prints the full reproduction recipe (all inputs derive
-// from the seed).
+// Randomized differential testing, two suites. FuzzSweep: for a sweep of
+// seeds, generate a random query and a random disorder regime, then
+// require the native OOO engine (with per-seed-rotated options), the
+// buffered engine and — via net results — the aggressive policy to
+// reproduce the oracle exactly. SessionLattice: for a sweep of seeds,
+// draw a query mix and one point of the Session configuration lattice
+// (shards × batching × scan sharing × late policy × negation policy ×
+// recovery), and require every query's net delivery to equal its oracle,
+// in canonical order. Any divergence prints the full reproduction recipe
+// (all inputs derive from the seed).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <sstream>
+#include <tuple>
 
 #include "engine_test_util.hpp"
+#include "runtime/session.hpp"
 #include "stream/disorder.hpp"
+#include "stream/faults.hpp"
 #include "stream/outage.hpp"
 #include "workload/synthetic.hpp"
 
@@ -86,7 +95,6 @@ TEST_P(FuzzSweep, EnginesMatchOracle) {
   EngineOptions opt;
   opt.slack = slack;
   opt.partition_by_key = (seed % 2) == 0;
-  opt.cache_rip = (seed % 3) == 0;
   opt.purge_period = (seed % 5 == 0) ? 1 : (seed % 5 == 1 ? 0 : 32);
 
   {
@@ -116,6 +124,139 @@ TEST_P(FuzzSweep, EnginesMatchOracle) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSweep, ::testing::Range<std::uint64_t>(1, 41));
+
+// ------------------------------------------------------ Session lattice
+
+// Net result of one query: emissions minus retractions (multisets of
+// match keys), sorted.
+std::vector<MatchKey> net_keys(const CollectingTaggedSink& sink, QueryId q) {
+  std::vector<MatchKey> gone;
+  for (const TaggedMatch& tm : sink.retracted())
+    if (tm.query == q) gone.push_back(match_key(tm.match));
+  std::sort(gone.begin(), gone.end());
+  const std::vector<MatchKey> kept = sink.keys_for(q);
+  std::vector<MatchKey> net;
+  std::set_difference(kept.begin(), kept.end(), gone.begin(), gone.end(),
+                      std::back_inserter(net));
+  return net;
+}
+
+// The Session's delivery order: (seal_ts = last_ts, query, key).
+bool canonically_ordered(const std::vector<TaggedMatch>& out) {
+  return std::is_sorted(out.begin(), out.end(),
+                        [](const TaggedMatch& a, const TaggedMatch& b) {
+                          return std::make_tuple(a.match.last_ts(), a.query,
+                                                 match_key(a.match)) <
+                                 std::make_tuple(b.match.last_ts(), b.query,
+                                                 match_key(b.match));
+                        });
+}
+
+class SessionLattice : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed * 0xd1b54a32d192ed03ull + 5);
+
+  // One point of the configuration lattice.
+  const std::size_t shards = rng.bernoulli(0.5) ? 4 : 1;
+  const bool ragged = rng.bernoulli(0.5);
+  const bool share = rng.bernoulli(0.5);
+  const auto policy = static_cast<LatePolicy>(rng.uniform_int(0, 2));
+  const bool aggressive = rng.bernoulli(0.5);
+  // Recovery runs only in the sharded runtime.
+  const bool recovery = shards > 1 && rng.bernoulli(0.5);
+
+  SyntheticConfig cfg;
+  cfg.num_events = 800 + static_cast<std::size_t>(rng.uniform_int(0, 1200));
+  cfg.num_types = static_cast<std::size_t>(rng.uniform_int(3, 4));
+  cfg.key_cardinality = rng.uniform_int(3, 24);
+  cfg.mean_gap = rng.uniform_int(2, 8);
+  cfg.seed = seed;
+  SyntheticWorkload wl(cfg);
+  const auto ordered = wl.generate();
+  DisorderInjector inj(LatencyModel::uniform(rng.uniform_int(20, 300)),
+                       rng.uniform(0.05, 0.5), seed + 11);
+  const auto arrivals = inj.deliver(ordered);
+  const Timestamp slack = inj.slack_bound();
+
+  // 2-4 queries sharing the first type T0. A sharded point draws keyed
+  // forms only: an unkeyed query would make the Session fall back to one
+  // shard.
+  std::vector<std::string> texts;
+  const auto n_queries = static_cast<std::size_t>(rng.uniform_int(2, 4));
+  for (std::size_t i = 0; i < n_queries; ++i) {
+    const Timestamp window = rng.uniform_int(40, 300);
+    if (rng.bernoulli(0.25)) {
+      texts.push_back(wl.negation_query(window));
+      continue;
+    }
+    const auto len = static_cast<std::size_t>(rng.uniform_int(2, 3));
+    const bool keyed = shards > 1 || rng.bernoulli(0.6);
+    const std::int64_t min_val = rng.bernoulli(0.4) ? rng.uniform_int(100, 800) : -1;
+    texts.push_back(wl.seq_query(len, keyed, window, min_val));
+  }
+
+  const std::size_t kill_at =
+      static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(arrivals.size()) - 1));
+  const std::size_t checkpoint_every = static_cast<std::size_t>(rng.uniform_int(5, 60));
+
+  std::ostringstream recipe;
+  recipe << "seed=" << seed << " shards=" << shards << " batch=" << (ragged ? "1-300" : "1")
+         << " share_scans=" << share << " late_policy=" << to_string(policy)
+         << " aggressive=" << aggressive << " recovery=" << recovery;
+  if (recovery)
+    recipe << " (checkpoint_every=" << checkpoint_every
+           << " kill id=" << arrivals[kill_at].id << ")";
+  recipe << " events=" << arrivals.size() << " slack=" << slack << " queries=[";
+  for (const std::string& t : texts) recipe << "\"" << t << "\" ";
+  recipe << "]";
+
+  EngineOptions opt;
+  opt.slack = slack;
+  opt.late_policy = policy;
+  opt.aggressive_negation = aggressive;
+  SessionConfig sc;
+  sc.engine(EngineKind::kOoo).options(opt).shards(shards).share_scans(share).metrics(false);
+  for (const std::string& t : texts) sc.query(t);
+  WorkerKillFault fault({arrivals[kill_at].id});
+  if (recovery) {
+    sc.checkpoint_every(checkpoint_every)
+        .max_restarts(10)
+        .restart_backoff(std::chrono::milliseconds(0), std::chrono::milliseconds(0))
+        .kill_hook(fault.hook());
+  }
+  const auto sink = std::make_shared<CollectingTaggedSink>();
+  Session session(wl.registry(), sc, sink);
+  ASSERT_EQ(session.shard_count(), shards) << recipe.str();
+  if (ragged) {
+    std::size_t i = 0;
+    while (i < arrivals.size()) {
+      const std::size_t n = std::min(static_cast<std::size_t>(rng.uniform_int(1, 300)),
+                                     arrivals.size() - i);
+      session.push_batch(std::span<const Event>(arrivals.data() + i, n));
+      i += n;
+    }
+  } else {
+    for (const Event& e : arrivals) session.push(e);
+  }
+  session.close();
+
+  for (QueryId q = 0; q < texts.size(); ++q) {
+    const CompiledQuery cq = compile_query(texts[q], wl.registry());
+    EXPECT_EQ(net_keys(*sink, q), oracle_keys(cq, arrivals))
+        << "query " << q << ", " << recipe.str();
+  }
+  EXPECT_TRUE(canonically_ordered(sink->matches())) << recipe.str();
+  EXPECT_TRUE(canonically_ordered(sink->retracted())) << recipe.str();
+  EXPECT_TRUE(session.quarantined().empty()) << recipe.str();
+  if (recovery) {
+    EXPECT_EQ(fault.victims_remaining(), 0u) << "kill never fired, " << recipe.str();
+    EXPECT_GE(session.restarts(), 1u) << recipe.str();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionLattice, ::testing::Range<std::uint64_t>(1, 97));
 
 }  // namespace
 }  // namespace oosp

@@ -132,41 +132,6 @@ TEST_F(OooEngineTest, PartitioningOnAndOffAgree) {
   expect_exact(EngineKind::kOoo, q, arrivals, with, "partitioned");
 }
 
-TEST_F(OooEngineTest, CachedRipAgreesWithBinarySearch) {
-  const CompiledQuery q = compile_query("PATTERN SEQ(A a, B b, C c) WITHIN 150", reg_);
-  std::vector<Event> arrivals;
-  EventId id = 0;
-  // Deliberately scrambled deliveries across overlapping windows.
-  for (int i = 0; i < 25; ++i) {
-    const Timestamp base = i * 25;
-    arrivals.push_back(ev("C", id++, base + 20));
-    arrivals.push_back(ev("A", id++, base + 2));
-    arrivals.push_back(ev("B", id++, base + 10));
-  }
-  EngineOptions bs = slack(80);
-  EngineOptions rip = slack(80);
-  rip.cache_rip = true;
-  const auto k1 = run_engine_keys(EngineKind::kOoo, q, arrivals, bs);
-  const auto k2 = run_engine_keys(EngineKind::kOoo, q, arrivals, rip);
-  EXPECT_EQ(k1, k2);
-  expect_exact(EngineKind::kOoo, q, arrivals, rip, "cached rip");
-}
-
-TEST_F(OooEngineTest, CachedRipSurvivesPurge) {
-  const CompiledQuery q = compile_query("PATTERN SEQ(A a, B b) WITHIN 30", reg_);
-  EngineOptions opt = slack(20);
-  opt.cache_rip = true;
-  opt.purge_period = 4;
-  std::vector<Event> arrivals;
-  EventId id = 0;
-  for (int i = 0; i < 200; ++i) {
-    const Timestamp base = i * 12;
-    arrivals.push_back(ev("B", id++, base + 8));
-    arrivals.push_back(ev("A", id++, base + 1));  // late first-step
-  }
-  expect_exact(EngineKind::kOoo, q, arrivals, opt, "rip+purge");
-}
-
 TEST_F(OooEngineTest, PurgeNeverDropsNeededState) {
   const CompiledQuery q = compile_query("PATTERN SEQ(A a, B b) WITHIN 40", reg_);
   for (const std::size_t period : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {

@@ -53,17 +53,14 @@ TEST_P(EngineProperty, CorrectEnginesAreExact) {
 
   // Native OOO engine under every option combination.
   for (const bool partition : {true, false}) {
-    for (const bool rip : {true, false}) {
-      for (const std::size_t purge : {std::size_t{1}, std::size_t{32}, std::size_t{0}}) {
-        EngineOptions opt;
-        opt.slack = inj.slack_bound();
-        opt.partition_by_key = partition;
-        opt.cache_rip = rip;
-        opt.purge_period = purge;
-        std::ostringstream ctx;
-        ctx << "ooo partition=" << partition << " rip=" << rip << " purge=" << purge;
-        expect_exact(EngineKind::kOoo, q, arrivals, opt, ctx.str().c_str());
-      }
+    for (const std::size_t purge : {std::size_t{1}, std::size_t{32}, std::size_t{0}}) {
+      EngineOptions opt;
+      opt.slack = inj.slack_bound();
+      opt.partition_by_key = partition;
+      opt.purge_period = purge;
+      std::ostringstream ctx;
+      ctx << "ooo partition=" << partition << " purge=" << purge;
+      expect_exact(EngineKind::kOoo, q, arrivals, opt, ctx.str().c_str());
     }
   }
   // Conventional buffered fix.

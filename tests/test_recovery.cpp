@@ -248,15 +248,14 @@ TEST_F(SnapshotSweep, AggressiveNegationRetractionsSurviveRestore) {
 }
 
 TEST_F(SnapshotSweep, RobustnessOptionsSurviveRestore) {
-  // Adaptive slack + dedup + quarantine + cached RIP: the state carried
-  // by the estimator, admission control, and RIP cache all rides along.
+  // Adaptive slack + dedup + quarantine: the state carried by the
+  // estimator and admission control rides along.
   for (const EngineKind kind : {EngineKind::kOoo, EngineKind::kKSlackInOrder}) {
     EngineOptions opt;
     opt.slack = slack_ / 2;
     opt.adaptive_slack = true;
     opt.dedup_by_id = true;
     opt.late_policy = LatePolicy::kQuarantine;
-    opt.cache_rip = true;
     run_case(kind, {"robust-options", wl_.seq_query(2, true, 200), opt});
   }
 }

@@ -82,23 +82,6 @@ TEST(Driver, ReportsThroughputAndDelays) {
   EXPECT_LT(ro.delay.mean(), r.delay.mean());
 }
 
-TEST(Sinks, CountingSinkAggregates) {
-  CountingSink s;
-  Match m;
-  m.events.push_back(Event{});
-  m.events.back().ts = 10;
-  m.detection_clock = 25;
-  s.on_match(std::move(m));
-  Match m2;
-  m2.events.push_back(Event{});
-  m2.events.back().ts = 10;
-  m2.detection_clock = 10;
-  s.on_match(std::move(m2));
-  EXPECT_EQ(s.count(), 2u);
-  EXPECT_DOUBLE_EQ(s.mean_delay(), 7.5);
-  EXPECT_EQ(s.max_delay(), 15);
-}
-
 TEST(Sinks, FunctionSinkForwards) {
   int called = 0;
   FunctionSink s([&](Match&&) { ++called; });
@@ -210,43 +193,17 @@ TEST(SortedStack, RangeQueries) {
   EXPECT_EQ(s.first_ts_above(100), 5u);
 }
 
-TEST(SortedStack, PurgeAndRipMaintenance) {
+TEST(SortedStack, PurgeReleasesArenaReferences) {
   SortedStack s;
   EventArena arena;
   for (EventId i = 0; i < 6; ++i) {
     const auto ts = static_cast<Timestamp>(i) * 10;
     s.insert(ts, i, mk_handle(arena, i, ts));
   }
-  s.bump_rips_from(2, 3);
-  EXPECT_EQ(s[1].rip, 0u);
-  EXPECT_EQ(s[2].rip, 3u);
-  EXPECT_EQ(s[5].rip, 3u);
   EXPECT_EQ(s.purge_before(25, arena), 3u);  // ts 0,10,20 gone
   ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s[0].ts, 30);
   EXPECT_EQ(arena.live(), 3u);  // purge released the arena references
-  s.drop_rips(2);
-  EXPECT_EQ(s[0].rip, 1u);
-}
-
-TEST(SortedStack, BumpRipsBatchMatchesPerInsertBumps) {
-  // bump_rips_batch(sorted_ts) must equal applying, for each inserted ts,
-  // bump_rips_from(first_ts_above(ts), 1) — the per-event maintenance it
-  // amortizes.
-  const std::vector<Timestamp> stack_ts{5, 10, 10, 20, 30, 30, 40};
-  const std::vector<Timestamp> inserted{0, 10, 10, 25, 30, 100};
-  SortedStack batched;
-  SortedStack serial;
-  EventArena arena;
-  for (EventId i = 0; i < stack_ts.size(); ++i) {
-    batched.insert(stack_ts[i], i, mk_handle(arena, i, stack_ts[i]));
-    serial.insert(stack_ts[i], i, mk_handle(arena, i, stack_ts[i]));
-  }
-  batched.bump_rips_batch(inserted);
-  for (const Timestamp t : inserted)
-    serial.bump_rips_from(serial.first_ts_above(t), 1);
-  ASSERT_EQ(batched.size(), serial.size());
-  for (std::size_t i = 0; i < batched.size(); ++i)
-    EXPECT_EQ(batched[i].rip, serial[i].rip) << "index " << i;
 }
 
 }  // namespace
