@@ -3,13 +3,18 @@
 
 Subcommands:
 
+A run may repeat each benchmark (--benchmark_repetitions=N): every
+command then works on the median of a counter over the repetitions, and
+check also prints their min and max. Google Benchmark's own aggregate
+rows (mean, median, stddev, cv) are ignored.
+
   extract RUN.json
-      Print a flat {benchmark -> {counter -> value}} summary of a
+      Print a flat {benchmark -> {counter -> median}} summary of a
       --benchmark_out=RUN.json file (the BENCH_<name>.json CI artifact).
 
   check RUN.json BASELINE.json [--tolerance 0.15]
       Compare a run against a committed baseline (bench/baselines/*.json)
-      and exit non-zero if any gated metric regresses beyond the
+      and exit non-zero if any gated metric's median regresses beyond the
       tolerance. "higher" gates fail when value < baseline * (1 - tol);
       "lower" gates fail when value > baseline * (1 + tol).
 
@@ -40,6 +45,7 @@ import contextlib
 import json
 import re
 import signal
+import statistics
 import sys
 
 # Die quietly when piped into `head` and friends.
@@ -62,8 +68,9 @@ def clean_name(name):
     return _NAME_SUFFIX.sub("", name)
 
 
-def load_run(path):
-    """RUN.json -> {clean benchmark name -> {counter/time -> value}}."""
+def load_samples(path):
+    """RUN.json -> {clean benchmark name -> {counter/time -> [one value per
+    repetition]}}."""
     with open(path) as f:
         data = json.load(f)
     out = {}
@@ -74,8 +81,16 @@ def load_run(path):
                    if k not in _RESERVED and isinstance(v, (int, float))}
         metrics["real_time"] = entry.get("real_time")
         metrics["cpu_time"] = entry.get("cpu_time")
-        out[clean_name(entry["name"])] = metrics
+        samples = out.setdefault(clean_name(entry["name"]), {})
+        for counter, value in metrics.items():
+            samples.setdefault(counter, []).append(value)
     return out
+
+
+def load_run(path):
+    """RUN.json -> {clean benchmark name -> {counter/time -> median}}."""
+    return {name: {c: statistics.median(v) for c, v in counters.items()}
+            for name, counters in load_samples(path).items()}
 
 
 def cmd_extract(args):
@@ -85,7 +100,7 @@ def cmd_extract(args):
 
 
 def cmd_check(args):
-    run = load_run(args.run)
+    run = load_samples(args.run)
     with open(args.baseline) as f:
         base = json.load(f)
     tol = args.tolerance
@@ -99,14 +114,16 @@ def cmd_check(args):
             failures.append(f"{name} [{counter}]: missing from run")
             print(f"FAIL {name} [{counter}]: not found in {args.run}")
             continue
-        value = float(metrics[counter])
+        samples = [float(v) for v in metrics[counter]]
+        value = statistics.median(samples)
         floor = baseline * (1.0 - tol)
         ceil = baseline * (1.0 + tol)
         ok = value >= floor if higher else value <= ceil
         bound = f">= {floor:.4g}" if higher else f"<= {ceil:.4g}"
         status = "ok  " if ok else "FAIL"
-        print(f"{status} {name} [{counter}]: {value:.4g} "
-              f"(baseline {baseline:.4g}, require {bound})")
+        print(f"{status} {name} [{counter}]: median {value:.4g} of {len(samples)} "
+              f"(min {min(samples):.4g}, max {max(samples):.4g}; "
+              f"baseline {baseline:.4g}, require {bound})")
         if not ok:
             failures.append(
                 f"{name} [{counter}]: {value:.4g} vs baseline {baseline:.4g} "

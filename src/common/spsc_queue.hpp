@@ -16,12 +16,13 @@
 //     distinguish full from empty without a separate counter.
 //   * Two transfer styles share the indices. By value: try_push_n moves
 //     elements in and try_pop_n moves them out. In place: try_copy_in_n
-//     copy-assigns into the free slots, so each slot's element reuses the
-//     storage its previous occupant left (a std::vector keeps its
-//     capacity from lap to lap), and the consumer works on the slots
-//     where they lie (peek) before handing them back (release). After the
-//     first lap the in-place style allocates nothing, which is how the
-//     sharded runtime moves events between threads.
+//     copy-assigns into the free slots (try_fill_n takes any assignment,
+//     e.g. a swap), so each slot's element reuses the storage its previous
+//     occupant left (a std::vector keeps its capacity from lap to lap),
+//     and the consumer works on the slots where they lie (peek) before
+//     handing them back (release). After the first lap the in-place style
+//     allocates nothing, which is how the sharded runtime moves events to
+//     its workers and their results back.
 //   * No operation blocks: the sharded runner decides the backpressure
 //     policy (it yields and retries, keeping arrival order intact rather
 //     than dropping).
@@ -66,6 +67,13 @@ class SpscQueue {
   // has held an element at least as large, a push allocates nothing.
   std::size_t try_copy_in_n(std::span<const T* const> src) {
     return push_with(src.size(), [&](T& slot, std::size_t i) { slot = *src[i]; });
+  }
+
+  // Producer side, general form of the two above: fills up to `want` free
+  // slots through fill(slot, i) and returns that count (0 when full).
+  template <typename Fill>
+  std::size_t try_fill_n(std::size_t want, Fill&& fill) {
+    return push_with(want, std::forward<Fill>(fill));
   }
 
   // Consumer side, bulk: moves up to max elements into out and returns

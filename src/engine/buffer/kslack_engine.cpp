@@ -115,6 +115,17 @@ void KSlackEngine::release_up_to(Timestamp threshold) {
   }
 }
 
+Timestamp KSlackEngine::release_bound(Timestamp clock) const {
+  // An arrival at the release watermark is still in contract (only ts
+  // strictly below it is late), and so is one at clock − K.
+  const Timestamp released = release_watermark_ == kMinTimestamp
+                                 ? kMinTimestamp
+                                 : release_watermark_ - 1;
+  const Timestamp seal =
+      std::max(released, StreamClock::seal_point_at(clock, clock_.slack()));
+  return live() == 0 ? seal : std::min(seal, buffer_[head_].ts - 1);
+}
+
 void KSlackEngine::finish() {
   // Drain WITHOUT raising the watermark: end-of-stream is not a release
   // decision future arrivals could violate.

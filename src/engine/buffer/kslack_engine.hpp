@@ -54,6 +54,10 @@ class KSlackEngine final : public PatternEngine {
   void finish() override;
   std::string name() const override { return "kslack+" + inner_->name(); }
   EngineStats stats_snapshot() const override;
+  // The inner engine completes a match at the release of its last event,
+  // so the bound trails the release watermark and the oldest buffered
+  // event.
+  Timestamp release_bound(Timestamp clock) const override;
   std::vector<Event> drain_quarantine() override {
     return admission_.drain_quarantine();
   }

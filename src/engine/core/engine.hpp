@@ -180,6 +180,20 @@ class PatternEngine {
   virtual void snapshot(CheckpointWriter& w) const;
   virtual void restore(CheckpointReader& r);
 
+  // Release bound: the largest seal_ts (Match::last_ts()) at or below
+  // which this engine will emit no further match or retraction, provided
+  // the stream keeps its slack contract. `clock` is the stream time its
+  // caller has seen, at least this engine's own clock: no in-contract
+  // arrival can land at or below that clock's seal point, so a query
+  // whose own events stop arriving does not hold the bound back. What the
+  // engine still holds (pending matches, open windows, buffered events)
+  // lowers it. Engines without a slack contract return kMinTimestamp:
+  // their results are final only at finish().
+  virtual Timestamp release_bound(Timestamp clock) const {
+    (void)clock;
+    return kMinTimestamp;
+  }
+
   // Removes and returns the events parked by LatePolicy::kQuarantine, in
   // arrival order — audit them or replay into a fresh engine with a
   // larger K. Engines without a slack contract return empty.

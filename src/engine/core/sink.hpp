@@ -74,8 +74,7 @@ class TaggedSink {
   }
 };
 
-// Stores every tagged match (and retraction) — tests, and the per-shard
-// collection stage of the sharded runtime.
+// Stores every tagged match (and retraction) — tests and examples.
 class CollectingTaggedSink final : public TaggedSink {
  public:
   void on_match(QueryId query, Match&& m) override {
@@ -94,17 +93,6 @@ class CollectingTaggedSink final : public TaggedSink {
       if (tm.query == query) keys.push_back(match_key(tm.match));
     std::sort(keys.begin(), keys.end());
     return keys;
-  }
-
-  std::vector<TaggedMatch> take() {
-    std::vector<TaggedMatch> out = std::move(matches_);
-    matches_.clear();
-    return out;
-  }
-  std::vector<TaggedMatch> take_retracted() {
-    std::vector<TaggedMatch> out = std::move(retracted_);
-    retracted_.clear();
-    return out;
   }
 
  private:

@@ -34,6 +34,9 @@ class OooEngine final : public PatternEngine {
     return options_.aggressive_negation ? "ooo-aggressive" : "ooo-native";
   }
   EngineStats stats_snapshot() const override { return core_.member_stats(0); }
+  Timestamp release_bound(Timestamp clock) const override {
+    return core_.release_bound(clock);
+  }
   std::vector<Event> drain_quarantine() override { return core_.drain_quarantine(); }
   void snapshot(CheckpointWriter& w) const override;
   void restore(CheckpointReader& r) override;

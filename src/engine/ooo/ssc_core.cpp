@@ -467,6 +467,15 @@ Timestamp SscCore::next_due() const {
   return t;
 }
 
+Timestamp SscCore::release_bound(Timestamp clock) const {
+  // A new match contains an arrival above the seal point; a held or
+  // revocable one has last_ts >= its seal_ts.
+  const Timestamp seal = std::max(
+      seal_watermark_, StreamClock::seal_point_at(clock, clock_.slack()));
+  const Timestamp due = next_due();
+  return due == kMaxTimestamp ? seal : std::min(seal, due - 1);
+}
+
 void SscCore::process_pending_up_to(Timestamp watermark) {
   if (!clock_.started()) return;
   // Same sealing rule as sealed_at_arrival(), against `watermark`.

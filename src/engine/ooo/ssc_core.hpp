@@ -112,6 +112,10 @@ class SscCore {
     return t < relevant_.size() && !relevant_[t].empty();
   }
 
+  // PatternEngine::release_bound for every member at once: the seal
+  // point, lowered below the earliest held or still-revocable match.
+  Timestamp release_bound(Timestamp clock) const;
+
   // Member i's counters; member 0's include the physical ones.
   EngineStats member_stats(std::size_t i) const;
 

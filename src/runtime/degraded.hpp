@@ -32,17 +32,18 @@ struct DegradedResult {
 // policy (RestartPolicy::kDegradeDropShard): when a shard burns through
 // its restart budget the session completes WITHOUT it, and this records
 // exactly what that cost. The output contract degrades from exactly-once
-// to "exactly-once over the surviving shards plus the dropped shards'
-// checkpointed prefix": stable (checkpoint-drained) matches of a dropped
-// shard are kept, everything after its last checkpoint is lost with the
-// events counted here.
+// to "exactly-once over the surviving shards plus what the merger had
+// received from the dropped shards": those results are kept and
+// delivered, everything the dropped shard would still have emitted is
+// lost with the events counted here.
 struct DegradedAccounting {
   std::size_t dropped_shards = 0;
   // Events discarded on dropped shards: replayable backup thrown away at
   // drop time plus everything routed there afterwards.
   std::uint64_t dropped_events = 0;
-  // Matches salvaged from dropped shards' checkpoint-stable output.
-  std::uint64_t stable_matches_kept = 0;
+  // Matches the merger had received from dropped shards when they were
+  // dropped (they are still delivered).
+  std::uint64_t matches_kept = 0;
   // Events shed at admission by overload control (runtime/overload.hpp):
   // never admitted, never backed up, never replayed — the quantified gap
   // between the offered stream and the one the engines actually saw.

@@ -36,30 +36,18 @@ Session::Session(const TypeRegistry& registry, SessionConfig config,
     specs_.push_back(std::move(spec));
   }
 
+  // One execution stack for every shard count: a single shard runs
+  // inline on the pushing thread, and the same ordered merger delivers.
   std::size_t shards = std::max<std::size_t>(1, config.shards_);
   std::optional<PartitionSpec> partition;
   if (shards > 1) {
     partition = PartitionSpec::build(specs_, registry_, &fallback_reason_);
     if (!partition) shards = 1;
   }
-
-  if (shards > 1) {
-    sharded_runner_ = std::make_unique<ShardedRunner>(
-        registry_, specs_, shards, *partition, config.queue_capacity_,
-        metrics_.get(), std::move(config.recovery_), config.share_scans_,
-        std::move(config.overload_));
-  } else {
-    // Single-shard path collects into the same kind of sink a shard
-    // uses, so finish() runs the identical canonical-order delivery.
-    collect_ = std::make_shared<CollectingTaggedSink>();
-    inline_runner_ = std::make_unique<MultiQueryRunner>(registry_, collect_,
-                                                       config.share_scans_);
-    for (const ShardQuerySpec& spec : specs_)
-      inline_runner_->add_query(spec.query, spec.kind, spec.options);
-    // Materialize the plan (and its metric slots) before returning —
-    // add_query after construction is a contract violation anyway.
-    inline_runner_->prepare();
-  }
+  runner_ = std::make_unique<ShardedRunner>(
+      registry_, specs_, shards, partition.value_or(PartitionSpec{}),
+      config.queue_capacity_, metrics_.get(), std::move(config.recovery_),
+      config.share_scans_, std::move(config.overload_), sink_);
 
   if (config.report_every_.count() > 0)
     start_reporter(config.report_every_, std::move(config.report_to_));
@@ -71,11 +59,7 @@ void Session::push(const Event& e) {
   OOSP_REQUIRE(!finished_, "push after finish");
   ++events_seen_;
   if (session_events_) session_events_->inc();
-  if (sharded_runner_) {
-    sharded_runner_->on_event(e);
-  } else {
-    inline_runner_->on_event(e);
-  }
+  runner_->on_event(e);
 }
 
 void Session::push_batch(std::span<const Event> batch) {
@@ -83,11 +67,7 @@ void Session::push_batch(std::span<const Event> batch) {
   OOSP_REQUIRE(!finished_, "push_batch after finish");
   events_seen_ += batch.size();
   if (session_events_) session_events_->inc(batch.size());
-  if (sharded_runner_) {
-    sharded_runner_->on_batch(batch);
-  } else {
-    inline_runner_->on_batch(batch);
-  }
+  runner_->on_batch(batch);
 }
 
 void Session::finish() {
@@ -100,32 +80,12 @@ void Session::finish() {
   // where the quarantine totals disagree with each other.
   stop_reporter();
 
-  std::vector<TaggedMatch> matches;
-  std::vector<TaggedMatch> retractions;
-  if (sharded_runner_) {
-    sharded_runner_->finish();
-    matches = sharded_runner_->take_output();
-    retractions = sharded_runner_->take_retractions();
-  } else {
-    inline_runner_->finish();
-    std::vector<std::vector<TaggedMatch>> one;
-    one.push_back(collect_->take());
-    matches = merge_match_streams(std::move(one));
-    one.clear();
-    one.push_back(collect_->take_retracted());
-    retractions = merge_match_streams(std::move(one));
-  }
-  for (TaggedMatch& tm : matches) sink_->on_match(tm.query, std::move(tm.match));
-  for (const TaggedMatch& tm : retractions) sink_->on_retract(tm.query, tm.match);
+  runner_->finish();
 
   // Drain quarantined late events (LatePolicy::kQuarantine) from every
   // engine now that the workers are joined; canonical (query, ts, id)
   // order makes the report identical across shard counts.
-  if (sharded_runner_) {
-    quarantined_ = sharded_runner_->drain_quarantine();
-  } else {
-    quarantined_ = inline_runner_->drain_quarantine();
-  }
+  quarantined_ = runner_->drain_quarantine();
   std::sort(quarantined_.begin(), quarantined_.end(),
             [](const auto& a, const auto& b) {
               return std::tie(a.first, a.second.ts, a.second.id) <
@@ -138,10 +98,7 @@ std::size_t Session::query_count() const noexcept { return specs_.size(); }
 
 const CompiledQuery& Session::query(QueryId id) const { return *specs_.at(id).query; }
 
-EngineStats Session::stats(QueryId id) const {
-  if (sharded_runner_) return sharded_runner_->stats(id);
-  return inline_runner_->stats(id);
-}
+EngineStats Session::stats(QueryId id) const { return runner_->stats(id); }
 
 EngineStats Session::total_stats() const {
   EngineStats merged;
@@ -149,9 +106,7 @@ EngineStats Session::total_stats() const {
   return merged;
 }
 
-std::size_t Session::shard_count() const noexcept {
-  return sharded_runner_ ? sharded_runner_->shard_count() : 1;
-}
+std::size_t Session::shard_count() const noexcept { return runner_->shard_count(); }
 
 void Session::close() {
   // call_once makes concurrent closes safe: one caller shuts down, the
@@ -165,29 +120,25 @@ void Session::close() {
   });
 }
 
-std::size_t Session::restarts() const noexcept {
-  return sharded_runner_ ? sharded_runner_->restarts_total() : 0;
-}
+std::size_t Session::restarts() const noexcept { return runner_->restarts_total(); }
 
 std::uint64_t Session::replayed_events() const noexcept {
-  return sharded_runner_ ? sharded_runner_->replayed_events_total() : 0;
+  return runner_->replayed_events_total();
 }
 
 std::size_t Session::dropped_shards() const noexcept {
-  return sharded_runner_ ? sharded_runner_->degraded_accounting().dropped_shards : 0;
+  return runner_->degraded_accounting().dropped_shards;
 }
 
 DegradedAccounting Session::degraded_accounting() const noexcept {
-  return sharded_runner_ ? sharded_runner_->degraded_accounting() : DegradedAccounting{};
+  return runner_->degraded_accounting();
 }
 
-std::uint64_t Session::overload_shed() const noexcept {
-  return sharded_runner_ ? sharded_runner_->shed_events_total() : 0;
-}
+std::uint64_t Session::overload_shed() const noexcept { return runner_->shed_events_total(); }
 
 std::uint64_t Session::overload_shed(QueryId id) const {
   OOSP_REQUIRE(id < specs_.size(), "query id out of range");
-  return sharded_runner_ ? sharded_runner_->shed_events(id) : 0;
+  return runner_->shed_events(id);
 }
 
 MetricsSnapshot Session::metrics_snapshot() const {

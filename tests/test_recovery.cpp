@@ -333,13 +333,15 @@ RecoveryRun run_recovery_session(const SyntheticWorkload& wl,
                                  const std::vector<Event>& arrivals, Timestamp slack,
                                  WorkerKillHook hook,
                                  RestartPolicy policy = RestartPolicy::kFail,
-                                 std::size_t max_restarts = 5) {
+                                 std::size_t max_restarts = 5,
+                                 std::size_t checkpoint_every = 7) {
   const auto sink = std::make_shared<CollectingTaggedSink>();
   SessionConfig cfg;
+  // The default cadence is small, so most kills land mid-interval.
   cfg.engine(EngineKind::kOoo)
       .slack(slack)
       .shards(3)
-      .checkpoint_every(7)  // small cadence: most kills land mid-interval
+      .checkpoint_every(checkpoint_every)
       .max_restarts(max_restarts)
       .restart_backoff(std::chrono::milliseconds(0), std::chrono::milliseconds(0))
       .on_restart_exhausted(policy)
@@ -391,6 +393,25 @@ TEST_F(SessionRecovery, KillAtEveryIndexYieldsBitIdenticalExactlyOnceOutput) {
     ASSERT_EQ(run.dropped_shards, 0u);
     // Not just the same multiset: the same SEQUENCE, element by element —
     // exactly-once, no duplicates, no holes, canonical order preserved.
+    ASSERT_EQ(run.output, oracle_.output)
+        << "output diverges after killing the worker at event index " << i;
+    ASSERT_EQ(fault.victims_remaining(), 0u);
+  }
+}
+
+TEST_F(SessionRecovery, LateKillWithoutACheckpointReplaysExactlyOnce) {
+  // The cadence exceeds the stream, so no checkpoint is ever taken: every
+  // result the shard emitted before the kill already went to the merger
+  // (most of it to the sink), and the replay from the first event
+  // regenerates all of it. Emission numbers drop the regenerated prefix.
+  const std::size_t never = 10 * arrivals_.size();
+  for (const std::size_t i :
+       {arrivals_.size() * 3 / 4, arrivals_.size() - 10, arrivals_.size() - 1}) {
+    WorkerKillFault fault({arrivals_[i].id});
+    const RecoveryRun run = run_recovery_session(wl_, arrivals_, slack_, fault.hook(),
+                                                 RestartPolicy::kFail, 5, never);
+    ASSERT_EQ(run.restarts, 1u) << "kill at index " << i;
+    ASSERT_GT(run.replayed, 1u) << "kill at index " << i;
     ASSERT_EQ(run.output, oracle_.output)
         << "output diverges after killing the worker at event index " << i;
     ASSERT_EQ(fault.victims_remaining(), 0u);

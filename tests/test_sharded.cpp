@@ -152,6 +152,28 @@ TEST(MergeMatchStreams, CanonicalOrderAcrossStreams) {
   EXPECT_EQ(merged[3].match.events[0].id, 5u);  // ts 30, query 1
 }
 
+TEST(MergeMatchStreams, TiesOnSealAndQueryOrderByLaterEventIds) {
+  const TypeRegistry reg = make_abcd_registry();
+  auto tagged = [&](EventId first, EventId second) {
+    Match m;
+    m.events.push_back(make_event(reg, "A", first, 10));
+    m.events.push_back(make_event(reg, "B", second, 30));
+    return TaggedMatch{0, std::move(m)};
+  };
+  // Same seal_ts and query throughout; (5, 7) and (5, 3) share the first
+  // event too and differ only in the second.
+  std::vector<std::vector<TaggedMatch>> streams(2);
+  streams[0].push_back(tagged(5, 7));
+  streams[0].push_back(tagged(4, 9));
+  streams[1].push_back(tagged(5, 3));
+
+  const auto merged = merge_match_streams(std::move(streams));
+  ASSERT_EQ(merged.size(), 3u);
+  EXPECT_EQ(match_key(merged[0].match), (MatchKey{4, 9}));
+  EXPECT_EQ(match_key(merged[1].match), (MatchKey{5, 3}));
+  EXPECT_EQ(match_key(merged[2].match), (MatchKey{5, 7}));
+}
+
 // -------------------------------------------- exactly-once delivery
 
 TEST(MultiQueryDelivery, TypeBothPositiveAndNegatedIsDeliveredOnce) {
