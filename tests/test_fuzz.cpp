@@ -6,12 +6,14 @@
 // draw a query mix and one point of the Session configuration lattice
 // (shards × batching × scan sharing × late policy × negation policy ×
 // recovery), and require every query's net delivery to equal its oracle,
-// in canonical order. Any divergence prints the full reproduction recipe
-// (all inputs derive from the seed).
+// in canonical order, with every retraction after the match it revokes.
+// Any divergence prints the full reproduction recipe (all inputs derive
+// from the seed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <sstream>
 #include <tuple>
 
@@ -152,6 +154,30 @@ bool canonically_ordered(const std::vector<TaggedMatch>& out) {
                         });
 }
 
+// Collects like CollectingTaggedSink and counts orphan retractions: those
+// whose (query, key) has no delivered, unretracted match before them.
+class RevocationOrderSink final : public TaggedSink {
+ public:
+  void on_match(QueryId query, Match&& m) override {
+    ++live_[{query, match_key(m)}];
+    collected.on_match(query, std::move(m));
+  }
+  void on_retract(QueryId query, const Match& m) override {
+    std::size_t& live = live_[{query, match_key(m)}];
+    if (live == 0)
+      ++orphans;
+    else
+      --live;
+    collected.on_retract(query, m);
+  }
+
+  CollectingTaggedSink collected;
+  std::size_t orphans = 0;
+
+ private:
+  std::map<std::pair<QueryId, MatchKey>, std::size_t> live_;
+};
+
 class SessionLattice : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
@@ -226,8 +252,9 @@ TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
         .restart_backoff(std::chrono::milliseconds(0), std::chrono::milliseconds(0))
         .kill_hook(fault.hook());
   }
-  const auto sink = std::make_shared<CollectingTaggedSink>();
-  Session session(wl.registry(), sc, sink);
+  const auto order = std::make_shared<RevocationOrderSink>();
+  const CollectingTaggedSink* sink = &order->collected;
+  Session session(wl.registry(), sc, order);
   ASSERT_EQ(session.shard_count(), shards) << recipe.str();
   if (ragged) {
     std::size_t i = 0;
@@ -249,6 +276,7 @@ TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
   }
   EXPECT_TRUE(canonically_ordered(sink->matches())) << recipe.str();
   EXPECT_TRUE(canonically_ordered(sink->retracted())) << recipe.str();
+  EXPECT_EQ(order->orphans, 0u) << "retraction before its match, " << recipe.str();
   EXPECT_TRUE(session.quarantined().empty()) << recipe.str();
   if (recovery) {
     EXPECT_EQ(fault.victims_remaining(), 0u) << "kill never fired, " << recipe.str();
