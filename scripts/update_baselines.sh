@@ -21,9 +21,11 @@ cmake --build "$BUILD" -j "$(nproc)" --target "${BENCHES[@]}"
 
 OUT="$(mktemp -d)"
 trap 'rm -rf "$OUT"' EXIT
+# Five repetitions, as in the CI perf job: the gate compares their median.
 for b in "${BENCHES[@]}"; do
-  echo "== $b (short mode)"
+  echo "== $b (short mode, 5 repetitions)"
   OOSP_BENCH_SHORT=1 "$BUILD/bench/$b" \
+    --benchmark_repetitions=5 \
     --benchmark_out="$OUT/BENCH_$b.json" --benchmark_out_format=json
 done
 

@@ -8,6 +8,20 @@
 
 namespace oosp {
 
+namespace {
+
+// The key an unpartitioned core files every arrival under.
+const Value kUnkeyed{};
+
+// Purge point contributed by an entry at `ts`: a pass at threshold t drops
+// a positive entry when ts < t and a negative one when ts < t − 1. Kept
+// below kMaxTimestamp, which marks an empty shard.
+Timestamp point_of(Timestamp ts, bool negative) noexcept {
+  return std::min(ts, kMaxTimestamp - 2) + (negative ? 1 : 0);
+}
+
+}  // namespace
+
 SscCore::SscCore(std::vector<SscMember> members, EngineOptions options, EngineObs obs)
     : options_(std::move(options)), obs_(obs), clock_(options_.slack) {
   OOSP_REQUIRE(options_.slack >= 0, "slack must be non-negative");
@@ -118,9 +132,13 @@ SscCore::Shard SscCore::make_shard() const {
 
 SscCore::Shard& SscCore::shard_for(const Value& key) {
   if (!partitioned_) return root_;
-  auto it = shards_.find(key);
-  if (it == shards_.end()) it = shards_.emplace(key, make_shard()).first;
-  return it->second;
+  const auto it = shards_.find(key);
+  if (it != shards_.end()) return it->second;
+  if (spare_.empty()) return shards_.emplace(key, make_shard()).first->second;
+  ShardMap::node_type node = std::move(spare_.back());
+  spare_.pop_back();
+  node.key() = key;
+  return shards_.insert(std::move(node)).position->second;
 }
 
 SscCore::Shard* SscCore::find_shard(const Value& key) {
@@ -218,13 +236,14 @@ void SscCore::on_batch(std::span<const Event* const> batch) {
         m.bindings[row.step] = nullptr;
         if (!pass) continue;
       }
-      const Value key = partitioned_ ? e.attr(row.key_slot) : Value{};
+      const Value& key = partitioned_ ? e.attr(row.key_slot) : kUnkeyed;
       Shard& shard = shard_for(key);
       if (h == kNullEventHandle) {
         h = arena_.alloc(e, ae.clock);
       } else {
         arena_.retain(h);
       }
+      shard.purge_point = std::min(shard.purge_point, point_of(e.ts, row.negative));
       if (row.negative) {
         shard.negatives[row.index].insert(e.ts, e.id, h);
         shared_stats_.note_buffered(1);
@@ -578,26 +597,27 @@ void SscCore::purge_pass(Timestamp horizon) {
   const Timestamp pos_threshold = horizon < kMinTimestamp + window_
                                       ? kMinTimestamp + 1
                                       : horizon - window_ + 1;
-  const Timestamp neg_threshold = pos_threshold - 1;
   ++shared_stats_.purge_passes;
   EngineObs::inc(obs_.purge_passes);
   trace_span(TraceKind::kPurge, pos_threshold, clock_.now());
   if (!partitioned_) {
-    purge_shard(root_, pos_threshold, neg_threshold);
+    purge_shard(root_, pos_threshold);
     return;
   }
+  // A shard the pass empties parks on the spare list, capacity and all.
   for (auto it = shards_.begin(); it != shards_.end();) {
-    purge_shard(it->second, pos_threshold, neg_threshold);
-    const bool empty =
-        std::all_of(it->second.stacks.begin(), it->second.stacks.end(),
-                    [](const SortedStack& s) { return s.empty(); }) &&
-        std::all_of(it->second.negatives.begin(), it->second.negatives.end(),
-                    [](const NegativeBuffer& b) { return b.size() == 0; });
-    it = empty ? shards_.erase(it) : std::next(it);
+    purge_shard(it->second, pos_threshold);
+    if (it->second.purge_point != kMaxTimestamp) {
+      ++it;
+    } else {
+      spare_.push_back(shards_.extract(it++));
+    }
   }
 }
 
-void SscCore::purge_shard(Shard& shard, Timestamp pos_threshold, Timestamp neg_threshold) {
+void SscCore::purge_shard(Shard& shard, Timestamp pos_threshold) {
+  if (shard.purge_point >= pos_threshold) return;
+  const Timestamp neg_threshold = pos_threshold - 1;
   for (SortedStack& st : shard.stacks) {
     const std::size_t removed = st.purge_before(pos_threshold, arena_);
     if (removed) {
@@ -612,6 +632,16 @@ void SscCore::purge_shard(Shard& shard, Timestamp pos_threshold, Timestamp neg_t
       EngineObs::inc(obs_.purged, removed);
     }
   }
+  reset_purge_point(shard);
+}
+
+void SscCore::reset_purge_point(Shard& shard) {
+  Timestamp p = kMaxTimestamp;
+  for (const SortedStack& st : shard.stacks)
+    if (!st.empty()) p = std::min(p, point_of(st[0].ts, false));
+  for (const NegativeBuffer& nb : shard.negatives)
+    if (nb.size() != 0) p = std::min(p, point_of(nb.entries().front().ts, true));
+  shard.purge_point = p;
 }
 
 EngineStats SscCore::member_stats(std::size_t i) const {
@@ -650,6 +680,7 @@ SscCore::Shard SscCore::read_shard(CheckpointReader& r) {
   if (r.count() != sh.negatives.size())
     throw CheckpointError("ssc checkpoint negation count disagrees with the stack table");
   for (NegativeBuffer& nb : sh.negatives) read_negative_buffer(r, nb, arena_);
+  reset_purge_point(sh);
   return sh;
 }
 
@@ -758,6 +789,7 @@ void SscCore::restore(CheckpointReader& r) {
   // Structures are rebuilt wholesale; every live handle dies with them.
   arena_.clear();
   shards_.clear();
+  spare_.clear();
   if (partitioned_) {
     const std::size_t n = r.count();
     shards_.reserve(n);

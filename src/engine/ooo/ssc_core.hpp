@@ -40,7 +40,13 @@
 //
 //  * K-slack purge: state below watermark − W_max + 1 can never join a
 //    new match of any member (W_max = widest member window; a narrower
-//    member's left phase floors at its own window anyway).
+//    member's left phase floors at its own window anyway). Each key shard
+//    caches its purge point (the highest threshold that would drop none
+//    of its state), so a pass purges only the shards whose point is
+//    below the threshold.
+//    A shard the pass empties goes to a spare list with its stacks'
+//    capacity, and the next new key takes it over instead of building
+//    one: on sparse keys the steady state allocates nothing.
 //
 //  * Exactly once per core: admission (schema validation, dedup,
 //    LatePolicy), the stream clock, the MONOTONE seal watermark that all
@@ -130,7 +136,12 @@ class SscCore {
   struct Shard {
     std::vector<SortedStack> stacks;        // per positive row
     std::vector<NegativeBuffer> negatives;  // per negative row
+    // The highest purge threshold that drops nothing here: the oldest
+    // positive ts or the oldest negative ts + 1, whichever is smaller.
+    // kMaxTimestamp exactly when the shard holds nothing.
+    Timestamp purge_point = kMaxTimestamp;
   };
+  using ShardMap = std::unordered_map<Value, Shard, ValueHasher>;
 
   struct Anchor {
     std::uint32_t member;
@@ -223,6 +234,8 @@ class SscCore {
   void add_member(std::uint32_t mi, SscMember sm);
   void build_rows();
   Shard make_shard() const;
+  // The key's shard; a new key takes a spare node before a new shard is
+  // built.
   Shard& shard_for(const Value& key);
   Shard* find_shard(const Value& key);
   const std::vector<std::uint32_t>& arrival_audience(TypeId t) const noexcept {
@@ -279,7 +292,11 @@ class SscCore {
   // Adaptive K shrink — legal only at purge cadence points.
   void apply_adaptive_shrink();
   void purge_pass(Timestamp horizon);
-  void purge_shard(Shard& shard, Timestamp pos_threshold, Timestamp neg_threshold);
+  // Drops the shard's state below `pos_threshold` (negatives below one
+  // less) unless its purge point says there is none, then recomputes the
+  // point.
+  void purge_shard(Shard& shard, Timestamp pos_threshold);
+  static void reset_purge_point(Shard& shard);
   void write_shard(CheckpointWriter& w, const Shard& sh) const;
   Shard read_shard(CheckpointReader& r);
   static void write_pending(CheckpointWriter& w, const PendingMatch& pm);
@@ -331,7 +348,10 @@ class SscCore {
   std::vector<Anchor> buffer_rows_;  // (member, negated ordinal) per negative row
 
   Shard root_;
-  std::unordered_map<Value, Shard, ValueHasher> shards_;
+  ShardMap shards_;
+  // Nodes of shards a purge pass emptied, with their stacks' and buffers'
+  // capacity: live plus spare shards never exceed the peak live count.
+  std::vector<ShardMap::node_type> spare_;
 
   std::vector<AdmittedEvent> batch_admitted_;
   Timestamp arrival_watermark_ = kMinTimestamp;  // of the event Phase C splices

@@ -1,7 +1,8 @@
 // Batched ingestion (Session::push_batch → ShardedRunner::on_batch →
 // SpscQueue in-place ops → engine on_batch): SPSC bulk and in-place
-// transfer units, an allocation-free producer hand-off, the event-arena
-// recycling contract, batch-vs-per-event bit-identical output across
+// transfer units, an allocation-free producer hand-off, allocation-free
+// SSC keyed state on sparse keys, the event-arena recycling contract,
+// batch-vs-per-event bit-identical output across
 // engine kinds / keying / batch sizes, kill-at-batch-boundary recovery,
 // checkpoint/restore mid-stream under batched feeding, and the
 // aggressive-negation retraction-semantics pin.
@@ -230,6 +231,13 @@ TEST(SpscInPlace, TwoThreadEventStressMixedArity) {
 
 // ------------------------------------------- producer-side allocations
 
+// Counts results without storing them, so a sink keeps its own storage out
+// of an allocation count.
+struct CountingSink final : TaggedSink {
+  void on_match(QueryId, Match&&) override { ++matches; }
+  std::size_t matches = 0;
+};
+
 TEST(ShardedTransport, ProducerAllocatesNothingOnceRingsAreWarm) {
   const TypeRegistry reg = make_abcd_registry();
   // A/B route by key; D is relevant to no query, so it is broadcast to
@@ -243,10 +251,6 @@ TEST(ShardedTransport, ProducerAllocatesNothingOnceRingsAreWarm) {
   // Results stream to the sink on this thread, inside the measured
   // pushes; a counting sink keeps its own storage out of the count, which
   // then covers the runtime alone, merger included.
-  struct CountingSink final : TaggedSink {
-    void on_match(QueryId, Match&&) override { ++matches; }
-    std::size_t matches = 0;
-  };
   const auto sink = std::make_shared<CountingSink>();
   Session session(reg,
                   SessionConfig{}
@@ -282,6 +286,126 @@ TEST(ShardedTransport, ProducerAllocatesNothingOnceRingsAreWarm) {
 
   session.close();
   EXPECT_GT(sink->matches, 0u);
+}
+
+// ----------------------------------- SSC core allocations on sparse keys
+
+// A keyed stream whose keys recur less often than W + K, so a purge pass
+// empties each key's shard between two visits of the key. One visit is
+// C, B, A at consecutive timestamps, which SEQ(A, B, …) never matches.
+// Arrival reverses every block of four events (lateness 3 <= K), so
+// late events splice into the middle of stacks. `string_keys` replaces
+// each int key with a fixed-length string longer than std::string's
+// inline buffer.
+constexpr Timestamp kSparseWindow = 60;
+constexpr Timestamp kSparseSlack = 8;
+constexpr std::int64_t kSparseKeys = 64;  // a key recurs every 192 ticks
+
+std::vector<Event> sparse_key_stream(const TypeRegistry& reg, std::size_t n, bool string_keys) {
+  static const char* const kVisit[] = {"C", "B", "A"};
+  std::vector<Event> events;
+  events.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto key = static_cast<std::int64_t>(i / 3) % kSparseKeys;
+    Event e = make_event(reg, kVisit[i % 3], i, static_cast<Timestamp>(i), key, 1);
+    if (string_keys) {
+      std::string s = std::to_string(key);
+      e.attrs[0] = Value("sparse-key-" + std::string(10 - s.size(), '0') + s);
+    }
+    events.push_back(std::move(e));
+  }
+  for (std::size_t b = 0; b + 4 <= n; b += 4)
+    std::reverse(events.begin() + static_cast<std::ptrdiff_t>(b),
+                 events.begin() + static_cast<std::ptrdiff_t>(b + 4));
+  return events;
+}
+
+TypeRegistry make_string_key_registry() {
+  TypeRegistry reg;
+  const Schema s({{"k", ValueType::kString}, {"v", ValueType::kInt}});
+  for (const char* n : {"A", "B", "C", "D"}) reg.register_type(n, s);
+  return reg;
+}
+
+struct CountingMatchSink final : MatchSink {
+  void on_match(Match&&) override { ++matches; }
+  std::size_t matches = 0;
+};
+
+// Allocations while `feed` consumes the second half of `events`; the
+// first half warms every shard, spare list and scratch buffer up.
+template <typename Feed>
+std::size_t steady_state_allocations(std::span<const Event> events, Feed feed) {
+  const std::size_t half = events.size() / 2;
+  feed(events.first(half));
+  const std::size_t before = t_allocations;
+  feed(events.subspan(half));
+  return t_allocations - before;
+}
+
+void expect_solo_sparse_keys_allocate_nothing(const TypeRegistry& reg, bool string_keys) {
+  const auto events = sparse_key_stream(reg, 64 * 192, string_keys);
+  const CompiledQuery q = compile_query(
+      "PATTERN SEQ(A a, B b, C c) WHERE a.k == b.k AND b.k == c.k WITHIN " +
+          std::to_string(kSparseWindow),
+      reg);
+  ASSERT_TRUE(q.partitionable());
+  EngineOptions opt;
+  opt.slack = kSparseSlack;
+  std::vector<const Event*> ptrs;
+  for (const Event& e : events) ptrs.push_back(&e);
+  for (const bool batched : {false, true}) {
+    SCOPED_TRACE(batched ? "on_batch" : "on_event");
+    const auto sink = std::make_shared<CountingMatchSink>();
+    const auto engine = make_test_engine(EngineKind::kOoo, q, sink, opt);
+    const std::size_t allocations = steady_state_allocations(
+        events, [&](std::span<const Event> part) {
+          if (!batched) {
+            for (const Event& e : part) engine->on_event(e);
+            return;
+          }
+          const std::size_t base = static_cast<std::size_t>(part.data() - events.data());
+          for (std::size_t off = 0; off < part.size(); off += 32) {
+            const std::size_t len = std::min<std::size_t>(32, part.size() - off);
+            engine->on_batch(std::span<const Event* const>(ptrs.data() + base + off, len));
+          }
+        });
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(sink->matches, 0u);
+    EXPECT_GT(engine->stats_snapshot().purge_passes, 0u);
+  }
+}
+
+TEST(SscAllocations, SoloSparseKeysAllocateNothing) {
+  expect_solo_sparse_keys_allocate_nothing(make_abcd_registry(), false);
+}
+
+TEST(SscAllocations, SoloSparseLongStringKeysAllocateNothing) {
+  expect_solo_sparse_keys_allocate_nothing(make_string_key_registry(), true);
+}
+
+TEST(SscAllocations, SharedGroupSparseKeysAllocateNothing) {
+  const TypeRegistry reg = make_abcd_registry();
+  const auto events = sparse_key_stream(reg, 64 * 192, false);
+  const auto sink = std::make_shared<CountingSink>();
+  MultiQueryRunner runner(reg, sink);
+  EngineOptions opt;
+  opt.slack = kSparseSlack;
+  for (int i = 0; i < 8; ++i) {
+    runner.add_query(QuerySpec("PATTERN SEQ(A a, B b) WHERE a.k == b.k AND a.v >= " +
+                                   std::to_string(i) + " WITHIN " +
+                                   std::to_string(kSparseWindow),
+                               EngineKind::kOoo, opt));
+  }
+  runner.prepare();
+  ASSERT_EQ(runner.group_count(), 1u);
+  const std::size_t allocations =
+      steady_state_allocations(events, [&](std::span<const Event> part) {
+        for (std::size_t off = 0; off < part.size(); off += 256)
+          runner.on_batch(part.subspan(off, std::min<std::size_t>(256, part.size() - off)));
+      });
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(sink->matches, 0u);
 }
 
 // ----------------------------------------------------------- arena

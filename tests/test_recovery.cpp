@@ -157,7 +157,12 @@ std::vector<MatchKey> sorted_keys(const std::vector<Match>& ms) {
 
 // Feeds arrivals[0, cut), snapshots, restores into a FRESH engine,
 // verifies the restored engine re-snapshots to identical bytes, then
-// feeds the suffix and returns the union of both engines' matches.
+// feeds the suffix to both engines, comparing their snapshots every 100
+// events and at the end, before finish(): state the checkpoint does not
+// carry (which shards a purge pass visits, which it recycles) must come
+// back from restore exactly as the uninterrupted engine kept it, or the
+// two purge differently. Returns the original's matches before the cut
+// plus the restored engine's.
 std::vector<MatchKey> interrupted_run(EngineKind kind, const CompiledQuery& q,
                                       const std::vector<Event>& arrivals,
                                       std::size_t cut, const EngineOptions& options) {
@@ -175,10 +180,20 @@ std::vector<MatchKey> interrupted_run(EngineKind kind, const CompiledQuery& q,
   EXPECT_EQ(engine2->stats_snapshot().events_seen,
             engine1->stats_snapshot().events_seen);
 
-  for (std::size_t i = cut; i < arrivals.size(); ++i) engine2->on_event(arrivals[i]);
+  std::vector<Match> all = sink1->matches();
+  bool diverged = false;
+  for (std::size_t i = cut; i < arrivals.size(); ++i) {
+    engine1->on_event(arrivals[i]);
+    engine2->on_event(arrivals[i]);
+    const bool compare = (i - cut) % 100 == 99 || i + 1 == arrivals.size();
+    if (compare && !diverged && checkpoint_engine(*engine2) != checkpoint_engine(*engine1)) {
+      diverged = true;
+      ADD_FAILURE() << to_string(kind) << " cut=" << cut << ": after " << i + 1 - cut
+                    << " more events the restored engine snapshots differently";
+    }
+  }
   engine2->finish();
 
-  std::vector<Match> all = sink1->matches();
   for (const Match& m : sink2->matches()) all.push_back(m);
   return sorted_keys(all);
 }
@@ -191,9 +206,15 @@ struct SweepCase {
 
 class SnapshotSweep : public ::testing::Test {
  protected:
-  SnapshotSweep()
-      : wl_({.num_events = 4'000, .num_types = 3, .key_cardinality = 24,
-             .mean_gap = 5, .seed = 7}) {
+  SnapshotSweep() : wl_(config(24)) { generate(); }
+
+  // A key recurs about every 5 * key_cardinality ticks.
+  static SyntheticConfig config(std::int64_t key_cardinality) {
+    return {.num_events = 4'000, .num_types = 3, .key_cardinality = key_cardinality,
+            .mean_gap = 5, .seed = 7};
+  }
+
+  void generate() {
     const auto ordered = wl_.generate();
     DisorderInjector inj(LatencyModel::uniform(80), 0.3, 21);
     arrivals_ = inj.deliver(ordered);
@@ -237,6 +258,19 @@ TEST_F(SnapshotSweep, NegationAllEngines) {
     EngineOptions opt;
     opt.slack = slack_;
     run_case(kind, {"negation", wl_.negation_query(200), opt});
+  }
+}
+
+TEST_F(SnapshotSweep, SparseKeysRecycleShardsAcrossTheCut) {
+  // Keys recur every ~1,280 ticks, against W + K of about 280: key shards
+  // empty and are recycled before and after every cut.
+  wl_ = SyntheticWorkload(config(256));
+  generate();
+  for (const EngineKind kind : kAllKinds) {
+    EngineOptions opt;
+    opt.slack = slack_;
+    run_case(kind, {"sparse-keyed-seq", wl_.seq_query(3, true, 200), opt});
+    run_case(kind, {"sparse-negation", wl_.negation_query(200), opt});
   }
 }
 
