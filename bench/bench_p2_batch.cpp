@@ -2,15 +2,14 @@
 //
 // Fixed: a single-shard kOoo session (inline MultiQueryRunner, no
 // worker threads) over a keyed 2-step query with high key cardinality,
-// W = 1000, 10% disorder — the many-mostly-idle-keys regime, where the
-// per-event path spends its time on bookkeeping that rides on every
-// arrival (routing, virtual dispatch, pending scan, and above all the
-// purge cadence, which walks the whole shard map every period) rather
-// than on construction. Sweeps the ingestion batch size; batch:1
-// drives the per-event on_event path and is the baseline the speedup
-// counter is relative to. Batching collapses purge passes that nothing
-// observes (no resolution due between consecutive cadence marks) into
-// the deepest one, which is where most of the win comes from.
+// W = 1000, 10% disorder — the many-mostly-idle-keys regime, where
+// per-event ingestion spends its time on bookkeeping that rides on every
+// arrival (routing, virtual dispatch, pending scan, purge cadence)
+// rather than on construction. Sweeps the ingestion batch size; batch:1
+// is per-event `push`, which reaches the inline runner as a batch of
+// one, and is the baseline the speedup counter is relative to. Batching
+// collapses purge passes that nothing observes (no resolution due
+// between consecutive cadence marks) into the deepest one.
 //
 // Batching is semantically invisible (test_batch pins bit-identical
 // output, including recovery at batch boundaries); this benchmark

@@ -7,9 +7,11 @@
 //    when nothing fails? Sweeps checkpoint_every over {0 (supervision
 //    off — the baseline), 1k, 10k, 100k} consumed events per shard and
 //    reports end-to-end ev/s plus overhead_pct vs the 0 run. Each
-//    checkpoint serializes the full engine state and drains the shard
-//    sink, so the cost is (state size / cadence)-proportional; the
-//    acceptance bar is < 5% at every:10k.
+//    checkpoint serializes the full engine state, so the cost is
+//    (state size / cadence)-proportional; the acceptance bar is < 5% at
+//    every:10k. The batch:1024 rows feed the same stream through
+//    push_batch, whose stages join the upstream backup a ring chunk at a
+//    time, with overhead_pct vs the batched 0 run.
 //
 // 2. Recovery/every:K — how long does one crash cost? Kills one worker
 //    mid-stream (WorkerKillFault) and reports the supervisor's measured
@@ -20,8 +22,10 @@
 //
 // Short mode for CI soak: OOSP_BENCH_SHORT=1 shrinks the stream ~8x so
 // the binary finishes in seconds under sanitizers.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <span>
 
 #include "bench_util.hpp"
 #include "runtime/session.hpp"
@@ -63,13 +67,17 @@ SessionConfig base_config(const Scenario& sc, std::size_t checkpoint_every) {
       .query(sc.query->text());
 }
 
-double& baseline_evps() {
-  static double evps = 0.0;
-  return evps;
+// ev/s of the every:0 run, per push mode (index 0: push, 1: push_batch).
+double& baseline_evps(bool batched) {
+  static double evps[2] = {0.0, 0.0};
+  return evps[batched ? 1 : 0];
 }
 
-void checkpoint_overhead(benchmark::State& state, std::size_t every) {
+constexpr std::size_t kBatch = 1'024;
+
+void checkpoint_overhead(benchmark::State& state, std::size_t every, bool batched = false) {
   const Scenario& sc = scenario();
+  const std::span<const Event> all(sc.arrivals);
   double evps = 0.0;
   std::uint64_t checkpoints = 0, matches = 0;
   std::int64_t ckpt_bytes = 0;
@@ -77,7 +85,12 @@ void checkpoint_overhead(benchmark::State& state, std::size_t every) {
     const auto sink = std::make_shared<CollectingTaggedSink>();
     Session session(sc.workload->registry(), base_config(sc, every), sink);
     const auto t0 = std::chrono::steady_clock::now();
-    for (const Event& e : sc.arrivals) session.push(e);
+    if (batched) {
+      for (std::size_t off = 0; off < all.size(); off += kBatch)
+        session.push_batch(all.subspan(off, std::min(kBatch, all.size() - off)));
+    } else {
+      for (const Event& e : all) session.push(e);
+    }
     session.close();
     const auto t1 = std::chrono::steady_clock::now();
     if (session.shard_count() != kShards)
@@ -96,10 +109,10 @@ void checkpoint_overhead(benchmark::State& state, std::size_t every) {
   state.counters["matches"] = benchmark::Counter(static_cast<double>(matches));
   state.counters["ckpts"] = benchmark::Counter(static_cast<double>(checkpoints));
   state.counters["ckpt_bytes"] = benchmark::Counter(static_cast<double>(ckpt_bytes));
-  if (every == 0) baseline_evps() = evps;
-  if (baseline_evps() > 0.0)
-    state.counters["overhead_pct"] =
-        benchmark::Counter(100.0 * (baseline_evps() - evps) / baseline_evps());
+  if (every == 0) baseline_evps(batched) = evps;
+  if (baseline_evps(batched) > 0.0)
+    state.counters["overhead_pct"] = benchmark::Counter(
+        100.0 * (baseline_evps(batched) - evps) / baseline_evps(batched));
 }
 
 void recovery_latency(benchmark::State& state, std::size_t every) {
@@ -142,6 +155,15 @@ BENCHMARK(bench_overhead_off)->Name("CheckpointOverhead/every:0")->Unit(benchmar
 BENCHMARK(bench_overhead_1k)->Name("CheckpointOverhead/every:1k")->Unit(benchmark::kMillisecond);
 BENCHMARK(bench_overhead_10k)->Name("CheckpointOverhead/every:10k")->Unit(benchmark::kMillisecond);
 BENCHMARK(bench_overhead_100k)->Name("CheckpointOverhead/every:100k")->Unit(benchmark::kMillisecond);
+
+void bench_overhead_batch_off(benchmark::State& s) { checkpoint_overhead(s, 0, true); }
+void bench_overhead_batch_10k(benchmark::State& s) { checkpoint_overhead(s, 10'000, true); }
+BENCHMARK(bench_overhead_batch_off)
+    ->Name("CheckpointOverhead/batch:1024/every:0")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bench_overhead_batch_10k)
+    ->Name("CheckpointOverhead/batch:1024/every:10k")
+    ->Unit(benchmark::kMillisecond);
 
 void bench_recovery_1k(benchmark::State& s) { recovery_latency(s, 1'000); }
 void bench_recovery_10k(benchmark::State& s) { recovery_latency(s, 10'000); }

@@ -72,8 +72,6 @@ ShardedRunner::ShardedRunner(const TypeRegistry& registry,
     recovery_ = RecoveryConfig{};
     overload_ = OverloadConfig{};
   }
-  if (recovery_.enabled())
-    backup_capacity_ = 2 * recovery_.checkpoint_every + queue_capacity_;
   for (const ShardQuerySpec& spec : specs_)
     tick_gap_ = std::max(tick_gap_, spec.options.slack);
   // Per-query shed attribution: which queries consume each event type.
@@ -121,6 +119,8 @@ ShardedRunner::ShardedRunner(const TypeRegistry& registry,
     shards_.push_back(std::move(shard));
   }
   if (inline_) return;
+  stages_.resize(num_shards);
+  staged_.reserve(num_shards);
   // Start the workers only after every runner is fully built; the thread
   // start is the publication point for the engine state they consume.
   for (auto& shard : shards_)
@@ -184,9 +184,7 @@ void ShardedRunner::worker_loop(Shard& shard) {
           // processed die with this incarnation, and its ring with them;
           // their consumed count was never advanced, so replay covers
           // them too.)
-          if (recovery_.kill_hook && recovery_.kill_hook(e)) throw WorkerKilled(e.id);
-          if (recovery_.delay_hook) recovery_.delay_hook(e);
-          shard.runner->on_event(e);
+          process(shard, e);
           ++shard.consumed;
           if (e.ts > consumed_hwm) consumed_hwm = e.ts;
           if (recovery_.enabled() && shard.consumed % recovery_.checkpoint_every == 0)
@@ -219,6 +217,12 @@ void ShardedRunner::worker_loop(Shard& shard) {
     if (worker_failures_) worker_failures_->inc();
     shard.dead.store(true, std::memory_order_release);
   }
+}
+
+void ShardedRunner::process(Shard& shard, const Event& e) {
+  if (recovery_.kill_hook && recovery_.kill_hook(e)) throw WorkerKilled(e.id);
+  if (recovery_.delay_hook) recovery_.delay_hook(e);
+  shard.runner->on_event(e);
 }
 
 void ShardedRunner::publish(Shard& shard) {
@@ -336,44 +340,26 @@ void ShardedRunner::trim_backup(Shard& shard) {
   }
 }
 
-void ShardedRunner::admit_to_backup(Shard& shard, const Event& e) {
-  trim_backup(shard);
-  // Bounded ring: block (yielding) until a checkpoint retires enough of
-  // the backlog. Steady state never gets here — between trims the ring
-  // holds at most checkpoint_every + queue_capacity events.
-  SpinBackoff backoff;
-  while (shard.backup.size() >= backup_capacity_) {
-    if (shard.dead.load(std::memory_order_acquire)) {
-      // A dead worker will never checkpoint; recover first (replays the
-      // backup and trims it), then resume admitting. supervise may throw
-      // (kFail exhaustion) or drop the shard — the caller re-checks.
-      if (!supervise_dead_shard(shard)) return;
-    }
-    backoff.pause();
-    trim_backup(shard);
-  }
-  shard.backup.push_back(e);
-  ++shard.pushed;
+void ShardedRunner::count_dropped(std::uint64_t events) {
+  degraded_.dropped_events += events;
+  if (dropped_events_obs_) dropped_events_obs_->inc(events);
 }
 
 void ShardedRunner::drop_shard(Shard& shard) {
   shard.dropped = true;
   // Everything not yet covered by a checkpoint is lost: the un-replayed
-  // backup now, plus whatever the producer routes here later. What the
-  // merger received stays; the shard no longer holds the bound back.
+  // backup now, plus whatever the producer routes here later (push_stage
+  // counts those and never touches the ring again). What the merger
+  // received stays; the shard no longer holds the bound back.
   trim_backup(shard);
-  const std::uint64_t lost = shard.backup.size();
-  shard.dropped_events += lost;
+  count_dropped(shard.backup.size());
   shard.backup.clear();
-  shard.queue = std::make_unique<SpscQueue<Event>>(queue_capacity_);
   shard.dead.store(false, std::memory_order_release);
   shard.error = nullptr;
   merger_.set_bound(shard.index, kMaxTimestamp);
   ++degraded_.dropped_shards;
-  degraded_.dropped_events += lost;
   degraded_.matches_kept += shard.received_matches;
   if (dropped_shards_obs_) dropped_shards_obs_->inc();
-  if (dropped_events_obs_) dropped_events_obs_->inc(lost);
 }
 
 bool ShardedRunner::supervise_dead_shard(Shard& shard) {
@@ -426,15 +412,12 @@ bool ShardedRunner::supervise_dead_shard(Shard& shard) {
                  "checkpoint watermark behind the backup trim point");
       const std::uint64_t skip = ckpt_consumed - shard.trimmed;
       for (std::size_t i = static_cast<std::size_t>(skip); i < shard.backup.size(); ++i) {
-        const Event& ev = shard.backup[i];
-        // Replay runs the same processing a live worker would, so an
-        // event that deterministically crashes processing crashes the
-        // replay too — each attempt burns a restart until the budget is
-        // spent. Transient faults (WorkerKillFault fires once per
-        // victim) kill at most one attempt and then converge.
-        if (recovery_.kill_hook && recovery_.kill_hook(ev)) throw WorkerKilled(ev.id);
-        if (recovery_.delay_hook) recovery_.delay_hook(ev);
-        shard.runner->on_event(ev);
+        // Replay runs the live worker's step, so an event that
+        // deterministically crashes processing crashes the replay too —
+        // each attempt burns a restart until the budget is spent.
+        // Transient faults (WorkerKillFault fires once per victim) kill at
+        // most one attempt and then converge.
+        process(shard, shard.backup[i]);
         ++replayed;
       }
       shard.consumed = ckpt_consumed + replayed;
@@ -471,7 +454,7 @@ bool ShardedRunner::supervise_dead_shard(Shard& shard) {
 
 void ShardedRunner::rethrow_worker_error(const Shard& shard) {
   OOSP_CHECK(shard.error != nullptr, "dead shard without a stored exception");
-  // Each failure surfaces exactly once: whichever of on_event / finish
+  // Each failure surfaces exactly once: whichever of a push / finish
   // trips over it first throws; a later finish() is orderly teardown.
   error_surfaced_ = true;
   std::rethrow_exception(shard.error);
@@ -491,9 +474,9 @@ bool ShardedRunner::wait_for_room(Shard& shard,
   const auto give_up = std::chrono::steady_clock::now() + deadline;
   SpinBackoff backoff;
   while (shard.queue->size_approx() >= shard.queue->capacity()) {
-    // A dead worker never drains; report "room" so the caller falls
-    // through to the blocking push, the single owner of dead-worker
-    // handling (rethrow / supervise).
+    // A dead worker never drains; report "room" so the caller's next
+    // copy-in finds the ring full and handles the death (rethrow /
+    // supervise) where every other full ring is handled.
     if (shard.dead.load(std::memory_order_acquire)) return true;
     if (std::chrono::steady_clock::now() >= give_up) return false;
     if (push_retries_) push_retries_->inc();
@@ -502,283 +485,141 @@ bool ShardedRunner::wait_for_room(Shard& shard,
   return true;
 }
 
-bool ShardedRunner::overload_admit(Shard& shard, const Event& e) {
-  OverloadMonitor& mon = *shard.monitor;
-  // route_event advanced the clock past e.ts already, so lateness >= 0.
-  const Timestamp clock = global_clock_.load(std::memory_order_relaxed);
-  const Timestamp lateness = clock > e.ts ? clock - e.ts : 0;
-  mon.observe(lateness);
-  const std::size_t depth = shard.queue->size_approx();
-  const Timestamp consumed = shard.consumed_clock.load(std::memory_order_relaxed);
-  const Timestamp lag =
-      (consumed != kMinTimestamp && clock > consumed) ? clock - consumed : 0;
-  const Pressure p = mon.assess(depth, lag);
-  // The producer is the ring's only writer, so "not full" cannot be
-  // stolen out from under us: once size_approx() < capacity the
-  // subsequent copy-in is guaranteed to succeed. Events the worker is
-  // still running count as occupancy until it releases their slots.
-  const bool full = depth >= shard.queue->capacity();
-  switch (overload_.policy) {
-    case OverloadPolicy::kBlock:
-      break;
-    case OverloadPolicy::kShedNewest:
-      // Quality-blind: the arriving (newest) event is dropped the moment
-      // the ring is full. Tightest producer-latency bound.
-      if (full && !shard.dead.load(std::memory_order_acquire)) {
-        account_shed(shard, e, false);
-        return true;
-      }
-      break;
-    case OverloadPolicy::kShedByLateness:
-      // Price the event first: under pressure, arrivals past the
-      // adaptive cut are shed pre-emptively — before the ring is even
-      // full — leaving the remaining capacity to the fresh events that
-      // still have sealed results ahead of them.
-      if (mon.shed_late(lateness, p)) {
-        account_shed(shard, e, false);
-        return true;
-      }
-      if (full && !wait_for_room(shard, overload_.fresh_wait)) {
-        // A fresh event hit the deadline: the cut is too permissive for
-        // the offered load. Shed it (bounded latency wins) and tighten.
-        mon.note_forced_shed();
-        account_shed(shard, e, true);
-        return true;
-      }
-      break;
-    case OverloadPolicy::kFail:
-      if (full && !wait_for_room(shard, overload_.fail_deadline))
-        throw OverloadError(shard.index,
-                            std::chrono::duration_cast<std::chrono::milliseconds>(
-                                overload_.fail_deadline));
-      break;
-  }
-  return false;
-}
-
-void ShardedRunner::push_blocking(Shard& shard, const Event& e) {
-  if (shard.dropped) {
-    ++shard.dropped_events;
-    ++degraded_.dropped_events;
-    if (dropped_events_obs_) dropped_events_obs_->inc();
-    return;
-  }
-  if (shard.dead.load(std::memory_order_acquire)) {
-    // Without supervision, fail fast even when the queue still has room —
-    // the events would never be consumed anyway (the PR 3 contract).
-    if (!recovery_.enabled()) rethrow_worker_error(shard);
-    if (!supervise_dead_shard(shard)) {
-      ++shard.dropped_events;
-      ++degraded_.dropped_events;
-      if (dropped_events_obs_) dropped_events_obs_->inc();
-      return;
-    }
-  }
-  // Overload admission BEFORE the backup: a shed event never enters the
-  // execution stack at all — no backup entry, no replay, no checkpoint
-  // interaction — so exactly-once delivery of admitted events is
-  // untouched by shedding.
-  if (shard.monitor && overload_admit(shard, e)) return;
-  // Admit to the upstream backup BEFORE the queue: from this point on a
-  // worker death replays the event from the backup, so it can never be
-  // stranded in a dead incarnation's queue.
-  if (recovery_.enabled()) {
-    admit_to_backup(shard, e);
-    if (shard.dropped) {  // supervision inside the ring spin gave up
-      ++shard.dropped_events;
-      ++degraded_.dropped_events;
-      if (dropped_events_obs_) dropped_events_obs_->inc();
-      return;
-    }
-  }
-  const Event* const src = &e;
-  SpinBackoff backoff;
-  while (shard.queue->try_copy_in_n({&src, 1}) == 0) {
-    if (shard.dead.load(std::memory_order_acquire)) {
-      // A dead worker will never drain this queue; surface its exception
-      // to the producer instead of spinning forever.
-      if (!recovery_.enabled()) rethrow_worker_error(shard);
-      // The event is already in the backup: supervision replays it (or
-      // the drop policy accounts it) — pushing again would duplicate it.
-      supervise_dead_shard(shard);
-      return;
-    }
-    if (push_retries_) push_retries_->inc();
-    backoff.pause();
-  }
-}
-
-void ShardedRunner::push_batch_blocking(Shard& shard, std::vector<const Event*>& events) {
-  // Recovery is off on this path (on_batch falls back to per-event
-  // routing when it is on), so the only liveness hazard is a dead,
-  // never-draining consumer — same fail-fast contract as push_blocking.
-  //
-  // Overload admission runs at batch granularity: lateness is observed
-  // per event but pressure is graded once at entry (against the clock
-  // high-water mark the staging loop already advanced), and under
-  // kShedByLateness the priced-out late events are filtered before any
-  // ring transaction, so the ring transactions stay bulk-sized.
-  if (shard.monitor) {
-    OverloadMonitor& mon = *shard.monitor;
-    const Timestamp clock = global_clock_.load(std::memory_order_relaxed);
-    for (const Event* e : events)
-      mon.observe(clock > e->ts ? clock - e->ts : 0);
-    const Timestamp consumed = shard.consumed_clock.load(std::memory_order_relaxed);
-    const Timestamp lag =
-        (consumed != kMinTimestamp && clock > consumed) ? clock - consumed : 0;
-    const Pressure p = mon.assess(shard.queue->size_approx(), lag);
-    if (overload_.policy == OverloadPolicy::kShedByLateness &&
-        p >= Pressure::kWarn) {
-      std::erase_if(events, [&](const Event* e) {
-        const Timestamp lateness = clock > e->ts ? clock - e->ts : 0;
-        if (!mon.shed_late(lateness, p)) return false;
-        account_shed(shard, *e, false);
-        return true;
-      });
-    }
-  }
-  std::span<const Event* const> rest(events);
-  SpinBackoff backoff;
-  while (!rest.empty()) {
-    // Dead-worker fail-fast parity with the scalar path: checked on
-    // EVERY iteration, before each ring transaction — including after a
-    // partial push — so a worker killed mid-batch surfaces its error
-    // here instead of the producer quietly filling (or spinning on) a
-    // queue nobody will ever drain.
-    if (shard.dead.load(std::memory_order_acquire)) rethrow_worker_error(shard);
-    const std::size_t n = shard.queue->try_copy_in_n(rest);
-    if (n > 0) {
-      rest = rest.subspan(n);
-      // Occupancy sample for the depth gauge, taken AFTER the chunk
-      // landed — a genuine reading, never above capacity.
-      if (shard.queue_depth)
-        shard.queue_depth->set(
-            static_cast<std::int64_t>(shard.queue->size_approx()));
-      backoff.reset();
-      continue;
-    }
-    // Ring full with a live worker: apply the overload policy to the
-    // unpushed remainder (the newest events of the batch).
-    if (shard.monitor) {
-      switch (overload_.policy) {
-        case OverloadPolicy::kBlock:
-          break;
-        case OverloadPolicy::kShedNewest:
-          for (const Event* e : rest) account_shed(shard, *e, false);
-          return;
-        case OverloadPolicy::kShedByLateness:
-          if (!wait_for_room(shard, overload_.fresh_wait)) {
-            shard.monitor->note_forced_shed();
-            for (const Event* e : rest) account_shed(shard, *e, true);
-            return;
-          }
-          continue;  // room appeared (or the worker died; loop-top check)
-        case OverloadPolicy::kFail:
-          if (!wait_for_room(shard, overload_.fail_deadline))
-            throw OverloadError(shard.index,
-                                std::chrono::duration_cast<std::chrono::milliseconds>(
-                                    overload_.fail_deadline));
-          continue;
-      }
-    }
-    if (push_retries_) push_retries_->inc();
-    backoff.pause();
-  }
-}
-
-void ShardedRunner::route_event(const Event& e) {
-  if (e.ts > global_clock_.load(std::memory_order_relaxed))
-    global_clock_.store(e.ts, std::memory_order_relaxed);
-  const std::size_t slot = partition_.slot_for(e.type);
-  if (slot == PartitionSpec::kTickOnly || slot >= e.attrs.size()) {
-    // Relevant to no query (pure clock progress) — every shard needs it.
-    // A keyed type whose event is missing the key attribute (malformed
-    // input) also lands here: broadcast is harmless because schema
-    // validation rejects it inside each engine before it touches state.
-    if (broadcasts_) broadcasts_->inc();
-    for (auto& shard : shards_) {
-      shard->routed_clock = std::max(shard->routed_clock, e.ts);
-      push_blocking(*shard, e);
-    }
-    return;
-  }
-  Shard& shard = *shards_[hasher_(e.attrs[slot]) % shards_.size()];
-  shard.routed_clock = std::max(shard.routed_clock, e.ts);
-  push_blocking(shard, e);
-}
-
-void ShardedRunner::on_event(const Event& e) {
-  OOSP_REQUIRE(!finished_, "on_event after finish");
-  ++events_seen_;
-  merger_.release_held(sink_.get());
-  if (inline_) {
-    shards_.front()->runner->on_event(e);
-  } else {
-    route_event(e);
-    send_ticks();
-  }
-  deliver(1);
-}
-
 void ShardedRunner::on_batch(std::span<const Event> batch) {
-  OOSP_REQUIRE(!finished_, "on_batch after finish");
-  events_seen_ += batch.size();
+  OOSP_REQUIRE(!finished_, "push after finish");
   merger_.release_held(sink_.get());
   if (inline_) {
     shards_.front()->runner->on_batch(batch);
   } else {
-    route_batch(batch);
+    route(batch);
     send_ticks();
   }
   deliver(batch.size());
 }
 
-void ShardedRunner::route_batch(std::span<const Event> batch) {
-  if (recovery_.enabled() || batch.size() == 1) {
-    // Per-event routing: the backup ring's admit-before-push invariant is
-    // per event (see header), and a batch of one gains nothing from
-    // staging.
-    for (const Event& e : batch) route_event(e);
-    return;
-  }
+void ShardedRunner::route(std::span<const Event> batch) {
   // Stage pointers, not copies: each event is copied once, straight into
-  // its ring slot. A shard receives at most every event of the batch, so
-  // after the largest batch so far staging allocates nothing. Stages are
-  // cleared here rather than after their push: a push that threw (dead
-  // worker, OverloadError) left the rest of its stage — pointers into the
-  // previous caller's batch — behind, and those must never reach a ring.
-  if (batch_stage_.size() != shards_.size()) batch_stage_.resize(shards_.size());
-  for (auto& stage : batch_stage_) {
-    stage.clear();
-    stage.reserve(batch.size());
-  }
+  // its ring slot. Only the shards an event touches are staged, and their
+  // stages are cleared here rather than after their push: a push that
+  // threw (dead worker, OverloadError) left the rest of its stage —
+  // pointers into the previous caller's batch — behind, and those must
+  // never reach a ring. Stages keep their capacity, so once they have
+  // grown to the largest batch, staging allocates nothing.
+  for (const std::size_t i : staged_) stages_[i].clear();
+  staged_.clear();
+  const auto stage = [this](std::size_t i, const Event& e) {
+    if (stages_[i].empty()) staged_.push_back(i);
+    stages_[i].push_back(&e);
+    shards_[i]->routed_clock = std::max(shards_[i]->routed_clock, e.ts);
+  };
   for (const Event& e : batch) {
     if (e.ts > global_clock_.load(std::memory_order_relaxed))
       global_clock_.store(e.ts, std::memory_order_relaxed);
     const std::size_t slot = partition_.slot_for(e.type);
     if (slot == PartitionSpec::kTickOnly || slot >= e.attrs.size()) {
+      // Relevant to no query (pure clock progress) — every shard needs it.
+      // A keyed type whose event is missing the key attribute (malformed
+      // input) also lands here: broadcast is harmless because schema
+      // validation rejects it inside each engine before it touches state.
       if (broadcasts_) broadcasts_->inc();
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        shards_[i]->routed_clock = std::max(shards_[i]->routed_clock, e.ts);
-        batch_stage_[i].push_back(&e);
+      for (std::size_t i = 0; i < shards_.size(); ++i) stage(i, e);
+    } else {
+      stage(hasher_(e.attrs[slot]) % shards_.size(), e);
+    }
+  }
+  for (const std::size_t i : staged_) push_stage(*shards_[i], stages_[i]);
+}
+
+void ShardedRunner::push_stage(Shard& shard, std::vector<const Event*>& stage) {
+  if (shard.dropped) {
+    count_dropped(stage.size());
+    return;
+  }
+  if (shard.dead.load(std::memory_order_acquire)) {
+    // Without supervision, fail fast even when the ring still has room:
+    // its events would never be consumed anyway.
+    if (!recovery_.enabled()) rethrow_worker_error(shard);
+    if (!supervise_dead_shard(shard)) {
+      count_dropped(stage.size());
+      return;
+    }
+  }
+  if (shard.monitor) {
+    // Overload admission comes before the backup: a shed event never
+    // enters the execution stack (no backup entry, no replay, no
+    // checkpoint), so exactly-once delivery of admitted events is
+    // untouched by shedding. Each event's lateness is measured against
+    // the clock high-water mark routing already advanced; pressure is
+    // graded once per stage.
+    OverloadMonitor& mon = *shard.monitor;
+    const Timestamp clock = global_clock_.load(std::memory_order_relaxed);
+    const auto lateness = [clock](const Event* e) { return clock > e->ts ? clock - e->ts : 0; };
+    for (const Event* e : stage) mon.observe(lateness(e));
+    const Timestamp consumed = shard.consumed_clock.load(std::memory_order_relaxed);
+    const Pressure p =
+        mon.assess(shard.queue->size_approx(),
+                   consumed != kMinTimestamp && clock > consumed ? clock - consumed : 0);
+    // Price each event first: under pressure, arrivals past the adaptive
+    // cut are shed before the ring is even full, leaving its room to the
+    // fresh events that still have sealed results ahead of them.
+    if (overload_.policy == OverloadPolicy::kShedByLateness)
+      std::erase_if(stage, [&](const Event* e) {
+        if (!mon.shed_late(lateness(e), p)) return false;
+        account_shed(shard, *e, false);
+        return true;
+      });
+  }
+  std::span<const Event* const> rest(stage);
+  SpinBackoff backoff;
+  while (!rest.empty()) {
+    const std::size_t n = shard.queue->try_copy_in_n(rest);
+    if (n > 0) {
+      if (recovery_.enabled()) {
+        // The chunk joins the backup in the step that copied it in, and
+        // supervision runs only on this thread: a replay then covers every
+        // event a dead incarnation may have lost, and none still in `rest`.
+        for (const Event* e : rest.first(n)) shard.backup.push_back(*e);
+        trim_backup(shard);
+        OOSP_ASSERT(shard.backup.size() <=
+                    shard.queue->capacity() + recovery_.checkpoint_every);
       }
+      rest = rest.subspan(n);
+      backoff.reset();
       continue;
     }
-    const std::size_t target = hasher_(e.attrs[slot]) % shards_.size();
-    shards_[target]->routed_clock = std::max(shards_[target]->routed_clock, e.ts);
-    batch_stage_[target].push_back(&e);
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (batch_stage_[i].empty()) continue;
-    if (shards_[i]->dropped) {
-      // Should be unreachable (dropping requires recovery, which routes
-      // per event above), but keep the accounting correct regardless.
-      shards_[i]->dropped_events += batch_stage_[i].size();
-      degraded_.dropped_events += batch_stage_[i].size();
-      if (dropped_events_obs_) dropped_events_obs_->inc(batch_stage_[i].size());
-    } else {
-      push_batch_blocking(*shards_[i], batch_stage_[i]);
+    if (shard.dead.load(std::memory_order_acquire)) {
+      // Full, and nobody will ever drain it.
+      if (!recovery_.enabled()) rethrow_worker_error(shard);
+      if (!supervise_dead_shard(shard)) {
+        count_dropped(rest.size());
+        return;
+      }
+      continue;  // into the respawned worker's empty ring
     }
+    // Full with a live worker: the policy decides for the rest of the
+    // stage, its newest events.
+    switch (overload_.policy) {
+      case OverloadPolicy::kBlock:
+        break;
+      case OverloadPolicy::kShedNewest:
+        // Quality-blind: the newest arrivals go the moment the ring is
+        // full. Tightest producer-latency bound.
+        for (const Event* e : rest) account_shed(shard, *e, false);
+        return;
+      case OverloadPolicy::kShedByLateness:
+        if (wait_for_room(shard, overload_.fresh_wait)) continue;
+        // Fresh events hit the deadline: the cut is too permissive for the
+        // offered load. Shed them (bounded latency wins) and tighten.
+        shard.monitor->note_forced_shed();
+        for (const Event* e : rest) account_shed(shard, *e, true);
+        return;
+      case OverloadPolicy::kFail:
+        if (wait_for_room(shard, overload_.fail_deadline)) continue;
+        throw OverloadError(shard.index, std::chrono::duration_cast<std::chrono::milliseconds>(
+                                             overload_.fail_deadline));
+    }
+    if (push_retries_) push_retries_->inc();
+    backoff.pause();
   }
 }
 
@@ -819,12 +660,6 @@ void ShardedRunner::finish() {
   merger_.release_all(sink_.get());
 }
 
-bool ShardedRunner::worker_failed() const noexcept {
-  for (const auto& shard : shards_)
-    if (shard->dead.load(std::memory_order_acquire)) return true;
-  return false;
-}
-
 EngineStats ShardedRunner::stats(QueryId id) const {
   if (inline_) return shards_.front()->runner->stats(id);
   OOSP_CHECK(finished_, "stats before finish (workers still own the engines)");
@@ -857,13 +692,6 @@ std::size_t ShardedRunner::restarts_total() const noexcept {
 
 DegradedAccounting ShardedRunner::degraded_accounting() const noexcept {
   return degraded_;
-}
-
-std::uint64_t ShardedRunner::events_routed() const {
-  OOSP_CHECK(finished_, "events_routed before finish");
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->runner->events_routed();
-  return total;
 }
 
 }  // namespace oosp

@@ -10,7 +10,7 @@
 //
 //   producer thread                      worker threads (one per shard)
 //   ───────────────                      ─────────────────────────────
-//   on_event(e):
+//   on_batch(events), on_event = a batch of one:
 //     slot  = PartitionSpec[e.type]
 //     shard = hash(e.attr(slot)) % N  ─► SPSC ring ─► MultiQueryRunner
 //                                         (own engines, own clocks,
@@ -191,29 +191,27 @@ class ShardedRunner {
   ShardedRunner(const ShardedRunner&) = delete;
   ShardedRunner& operator=(const ShardedRunner&) = delete;
 
-  // Producer side; single-threaded. Under OverloadPolicy::kBlock (the
-  // default) blocks (pause/yield backoff) while the target shard's
-  // queue is full — backpressure preserves arrival order. The other
-  // policies bound that wait by shedding at admission or throwing
-  // OverloadError (runtime/overload.hpp). If the target worker has died
-  // (its engine threw), rethrows that worker's exception instead of
-  // spinning on a queue nobody will ever drain. Before returning, hands
-  // the sink every result that has become final.
-  void on_event(const Event& e);
-
-  // Producer side, batched: partitions the whole slice up front into
-  // per-shard lists of pointers into `batch`, then copies each shard's
-  // events straight into its ring slots with bulk copy-in transactions
-  // (one acquire/release pair per round instead of per event), then
-  // delivers like on_event. Slots keep their attrs capacity from the
-  // previous lap, so the hand-off allocates nothing. Workers still
-  // process per event, so engine-visible order and checkpoint cadence
-  // are untouched. With recovery enabled this falls back to per-event
-  // routing: backup-before-push admission is a per-event invariant —
-  // staging a whole batch into the backup before a mid-push worker death
-  // would both replay it and push the remainder, duplicating events. At
-  // one shard the slice goes to the inline runner's on_batch.
+  // Producer side; single-threaded. Partitions the slice into per-shard
+  // stages of pointers into `batch` and copies each stage straight into
+  // its shard's ring slots with bulk copy-in transactions (one
+  // acquire/release pair per chunk, not per event). Slots keep their
+  // attrs capacity from the previous lap, so the hand-off allocates
+  // nothing. For each stage, in this order:
+  //   * a dropped shard's events are counted as dropped;
+  //   * a dead worker (its engine threw) rethrows its exception, even
+  //     with ring room to spare, or is supervised when recovery is on;
+  //   * the overload policy admits, sheds, or throws OverloadError
+  //     (runtime/overload.hpp); under OverloadPolicy::kBlock (the
+  //     default) a full ring blocks with pause/yield backoff, so
+  //     backpressure preserves arrival order;
+  //   * with recovery on, each copied chunk joins the shard's upstream
+  //     backup in the producer step that copied it in.
+  // Workers process per event, so engine-visible order, kill-hook points
+  // and checkpoint cadence do not depend on how the input was batched. At
+  // one shard the slice goes straight to the inline runner's on_batch.
+  // Before returning, hands the sink every result that has become final.
   void on_batch(std::span<const Event> batch);
+  void on_event(const Event& e) { on_batch({&e, 1}); }
 
   // Drains the queues, joins the workers, runs per-shard finish() and
   // delivers every remaining result. Idempotent. After it returns, the
@@ -236,13 +234,6 @@ class ShardedRunner {
   std::vector<std::pair<QueryId, Event>> drain_quarantine();
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
-  std::size_t query_count() const noexcept { return specs_.size(); }
-  const CompiledQuery& query(QueryId id) const { return *specs_.at(id).query; }
-  std::uint64_t events_seen() const noexcept { return events_seen_; }
-  std::uint64_t events_routed() const;  // after finish()
-
-  // True once any worker has died on an exception (before finish()).
-  bool worker_failed() const noexcept;
 
   // Supervision accounting (producer thread; exact after finish()).
   std::size_t restarts_total() const noexcept;
@@ -314,11 +305,6 @@ class ShardedRunner {
     // is still running: their slots are released only afterwards.
     Gauge* queue_depth = nullptr;
     Gauge* watermark_lag = nullptr;  // global clock − event ts at dequeue
-
-    // High-water mark of consumed event timestamps, published (relaxed)
-    // by the worker per pop batch; the producer's overload monitor reads
-    // it to grade watermark lag. Advisory — never used for correctness.
-    std::atomic<Timestamp> consumed_clock{kMinTimestamp};
     // Overload pressure assessment (producer-owned; null at kBlock).
     std::unique_ptr<OverloadMonitor> monitor;
 
@@ -329,29 +315,39 @@ class ShardedRunner {
     // received. A full ring never blocks the worker: it keeps the batch
     // and the old bound and retries after its next run.
     std::unique_ptr<SpscQueue<std::vector<Emission>>> handoff;
-    std::atomic<Timestamp> bound{kMinTimestamp};
-    Timestamp published = kMinTimestamp;  // owner's copy of `bound`
     // Clock tick from the producer (stored release after its last push
     // here). The worker applies it only once its ring is empty, so every
     // event routed before the tick has been processed first.
     std::atomic<Timestamp> tick{kMinTimestamp};
+    // The worker writes the next three after every run, and the producer
+    // writes routed_clock on every push. Each group starts a cache line of
+    // its own, so neither side's writes evict the fields the other reads
+    // on its hot path (the producer reads queue, dead and monitor on
+    // every push).
+    alignas(64) std::atomic<Timestamp> bound{kMinTimestamp};
+    Timestamp published = kMinTimestamp;  // owner's copy of `bound`
+    // High-water mark of consumed event timestamps, published (relaxed)
+    // by the worker per pop batch; the producer's overload monitor reads
+    // it to grade watermark lag. Advisory — never used for correctness.
+    std::atomic<Timestamp> consumed_clock{kMinTimestamp};
     // Producer-owned.
-    Timestamp routed_clock = kMinTimestamp;  // newest ts routed here, ticks included
+    alignas(64) Timestamp routed_clock = kMinTimestamp;  // newest ts routed here, ticks included
     std::uint64_t received = 0;          // emissions the merger took from here
     std::uint64_t received_matches = 0;  // of which matches
 
     // ---- Supervision state; all of it idle when recovery is disabled.
     //
-    // Producer-owned upstream backup: every event admitted to this shard
+    // Producer-owned upstream backup: every event pushed to this shard
     // whose processing is not yet covered by a checkpoint. Entry i (since
     // `trimmed` were popped) is the (trimmed+i)-th event ever pushed;
-    // trimming follows the worker's published checkpoint watermark.
+    // trimming follows the worker's published checkpoint watermark. It
+    // holds at most ring capacity + checkpoint_every events: the
+    // unreleased ring slots plus the events consumed since the last
+    // checkpoint.
     std::deque<Event> backup;
-    std::uint64_t pushed = 0;   // events ever admitted (producer-owned)
     std::uint64_t trimmed = 0;  // backup entries retired to a checkpoint
     std::size_t restarts = 0;   // lifetime restart count (producer-owned)
     bool dropped = false;       // kDegradeDropShard spent the budget
-    std::uint64_t dropped_events = 0;
 
     // Worker-published checkpoint: the engine bytes and the number of
     // emissions they account for. The mutex orders worker publication
@@ -374,6 +370,10 @@ class ShardedRunner {
   // Runs each event where it lies in the ring, then releases its slots
   // and publishes the run's results.
   void worker_loop(Shard& shard);
+  // One worker step: the kill hook, the delay hook, then the runner's
+  // on_event. The live loop and recovery replay both take it, so replay
+  // runs the live processing path by construction.
+  void process(Shard& shard, const Event& e);
   // Hands the outbox's emissions and the runner's release bound to the
   // producer (worker thread; see Shard::handoff).
   void publish(Shard& shard);
@@ -393,33 +393,21 @@ class ShardedRunner {
   // Clock ticks to shards whose newest routed timestamp trails the
   // global clock by more than tick_gap_.
   void send_ticks();
-  // Copies `e` into the shard's next ring slot, blocking with backoff
-  // when full (kBlock) or per the overload policy.
-  void push_blocking(Shard& shard, const Event& e);
-  void route_event(const Event& e);
-  // on_batch's routing: stages the slice per shard and copies each stage
-  // into its ring in bulk (per event when recovery is on).
-  void route_batch(std::span<const Event> batch);
-  // Copies every event `events` points at into the shard's ring, blocking
-  // with backoff when full (kBlock) or per the overload policy; recovery
-  // is disabled on this path (see on_batch).
-  void push_batch_blocking(Shard& shard, std::vector<const Event*>& events);
+  // on_batch's routing: stages the slice per shard (only the shards it
+  // touches), then pushes each stage.
+  void route(std::span<const Event> batch);
+  // The one producer path into a shard's ring, in on_batch's order:
+  // dropped shard, dead worker, overload admission, bulk copy-in with
+  // each chunk appended to the backup. Shed events leave `stage`.
+  void push_stage(Shard& shard, std::vector<const Event*>& stage);
   [[noreturn]] void rethrow_worker_error(const Shard& shard);
   std::unique_ptr<MultiQueryRunner> make_runner(const Shard& shard) const;
 
   // ---- Overload control (producer thread; see runtime/overload.hpp).
   //
-  // Admission decision for one arrival: observes its lateness, grades
-  // pressure, and applies the policy. Returns true when the event was
-  // SHED (accounted; the caller must not admit it), false when it may
-  // proceed to the backup/queue — with queue room guaranteed for the
-  // shedding policies, so the subsequent push cannot spin unboundedly.
-  // kFail throws OverloadError past its deadline.
-  bool overload_admit(Shard& shard, const Event& e);
   // Spins (with backoff) until the ring has room or `deadline` passes;
-  // returns false on deadline. A dead worker aborts the wait with true —
-  // the caller falls through to the blocking push, whose dead-worker
-  // handling (rethrow / supervise) is the single source of truth.
+  // returns false on deadline. A dead worker aborts the wait with true:
+  // the caller's next copy-in finds the ring full and handles the death.
   bool wait_for_room(Shard& shard, std::chrono::steady_clock::duration deadline);
   // Books one shed event: DegradedAccounting, per-query attribution,
   // and the shard monitor's metric slots.
@@ -428,12 +416,13 @@ class ShardedRunner {
   // Supervision internals (recovery enabled only).
   void checkpoint_shard(Shard& shard);          // worker thread (or producer mid-recovery)
   void trim_backup(Shard& shard);               // producer thread
-  void admit_to_backup(Shard& shard, const Event& e);  // producer thread
   // Join the dead worker, restore + replay with bounded retries, respawn.
   // Returns false when the shard was dropped (kDegradeDropShard);
   // rethrows the worker error on kFail exhaustion (or recovery disabled).
   bool supervise_dead_shard(Shard& shard);
   void drop_shard(Shard& shard);
+  // Books events lost with a dropped shard (DegradedAccounting + metric).
+  void count_dropped(std::uint64_t events);
 
   const TypeRegistry& registry_;
   std::vector<ShardQuerySpec> specs_;
@@ -457,10 +446,6 @@ class ShardedRunner {
   // per-query shed attribution (built once in the constructor).
   std::vector<std::vector<QueryId>> queries_by_type_;
   std::vector<std::uint64_t> shed_by_query_;
-  // Backup ring bound: past this the producer blocks until a checkpoint
-  // trims (steady state never reaches it — the ring holds at most
-  // checkpoint_every + queue_capacity events between trims).
-  std::size_t backup_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
   bool inline_ = false;  // one shard, run on the producer thread
   ValueHasher hasher_;
@@ -469,7 +454,6 @@ class ShardedRunner {
   // (from a push or from finish); finish() then stays quiet so teardown
   // after a caught failure is orderly. Producer-thread only.
   bool error_surfaced_ = false;
-  std::uint64_t events_seen_ = 0;
   // Producer-maintained high-water mark of routed event timestamps; the
   // workers read it (relaxed) to report how far each lags the stream.
   std::atomic<Timestamp> global_clock_{kMinTimestamp};
@@ -496,9 +480,11 @@ class ShardedRunner {
   Counter* dropped_events_obs_ = nullptr;
   std::uint64_t replayed_events_ = 0;
   DegradedAccounting degraded_;
-  // on_batch scratch: per-shard pointers into the caller's batch (cleared
-  // at the start of each call; capacity persists across batches).
-  std::vector<std::vector<const Event*>> batch_stage_;
+  // route() scratch: per-shard pointers into the caller's batch, and the
+  // indices of the shards the last call staged (cleared at the start of
+  // the next call; capacity persists across calls).
+  std::vector<std::vector<const Event*>> stages_;
+  std::vector<std::size_t> staged_;
 };
 
 }  // namespace oosp

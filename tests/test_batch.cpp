@@ -628,10 +628,15 @@ Delivery run_session_stream(const SyntheticWorkload& wl, const std::vector<Event
                             Timestamp slack, std::size_t shards, std::size_t batch,
                             std::uint64_t seed, std::size_t checkpoint_every = 0,
                             WorkerKillHook hook = {},
-                            const std::vector<std::string>& queries = {}) {
+                            const std::vector<std::string>& queries = {},
+                            std::size_t queue_capacity = kDefaultQueueCapacity) {
   const auto sink = std::make_shared<CollectingTaggedSink>();
   SessionConfig cfg;
-  cfg.engine(EngineKind::kOoo).slack(slack).shards(shards).metrics(false);
+  cfg.engine(EngineKind::kOoo)
+      .slack(slack)
+      .shards(shards)
+      .queue_capacity(queue_capacity)
+      .metrics(false);
   for (const std::string& q : queries.empty() ? solo_queries(wl) : queries) cfg.query(q);
   if (checkpoint_every) {
     cfg.checkpoint_every(checkpoint_every)
@@ -714,9 +719,9 @@ TEST_F(BatchRecovery, KillAtEveryBatchBoundaryYieldsPerEventOutput) {
   const auto oracle = run_session_stream(wl_, arrivals_, slack_, 3, 0, 0,
                                          /*checkpoint_every=*/7);
   ASSERT_GT(oracle.size(), 5u);
-  // Batched + recovery, fault-free, must already be bit-identical (the
-  // runner falls back to per-event routing so the backup invariant
-  // holds).
+  // Batched + recovery, fault-free, must already be bit-identical: each
+  // chunk a push copies into a ring joins the upstream backup in the same
+  // producer step.
   EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 3, kBatch, 0, 7), oracle);
   // Kill the worker at the first event of every batch: the crash lands
   // exactly on a producer-side batch boundary each time.
@@ -725,6 +730,22 @@ TEST_F(BatchRecovery, KillAtEveryBatchBoundaryYieldsPerEventOutput) {
     const auto run =
         run_session_stream(wl_, arrivals_, slack_, 3, kBatch, 0, 7, fault.hook());
     EXPECT_EQ(run, oracle) << "diverged after kill at batch boundary " << i;
+    EXPECT_EQ(fault.victims_remaining(), 0u) << "kill at " << i << " never fired";
+  }
+  // A ring smaller than a stage: each shard's share of a 64-event batch
+  // spans several ring chunks, so a worker often dies while the rest of a
+  // stage still waits for room, and the producer supervises it mid-stage.
+  // The replay must cover exactly the chunks already copied in, and the
+  // rest must reach the respawned worker once.
+  constexpr std::size_t kSmallRing = 16;
+  constexpr std::size_t kLongBatch = 64;
+  EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 3, kLongBatch, 0, 7, {}, {}, kSmallRing),
+            oracle);
+  for (std::size_t i = 0; i < arrivals_.size(); i += 5) {
+    WorkerKillFault fault({arrivals_[i].id});
+    const auto run = run_session_stream(wl_, arrivals_, slack_, 3, kLongBatch, 0, 7,
+                                        fault.hook(), {}, kSmallRing);
+    EXPECT_EQ(run, oracle) << "diverged after kill at " << i << " with a 16-slot ring";
     EXPECT_EQ(fault.victims_remaining(), 0u) << "kill at " << i << " never fired";
   }
 }
