@@ -5,10 +5,12 @@
 // threshold on the first step (a0.val >= …), W = 1000, 10% disorder,
 // high key cardinality. Every arrival is pattern input for every query,
 // so the per-query-engine plan (share_scans(false), the baseline) runs
-// admission, clock observation, dedup, stack insertion and the purge
-// cadence N times per event; the shared-scan plan runs them once and
-// keeps construction + predicate evaluation per query. The sweep varies
-// N — the gap is the arrival-side share of the per-event cost, and it
+// admission, clock observation, dedup, stack insertion, construction and
+// the purge cadence N times per event. The shared-scan plan runs the
+// arrival side once, and since the N queries differ only in a step-local
+// threshold they form one construction class: one anchored walk per
+// insertion serves all of them, each query's threshold narrowing a
+// bitmask of the members still alive. The sweep varies N — the gap
 // widens with the number of co-resident queries.
 //
 // Sharing is semantically invisible (test_mqo pins bit-identical output

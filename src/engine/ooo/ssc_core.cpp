@@ -1,6 +1,7 @@
 #include "engine/ooo/ssc_core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/contracts.hpp"
 #include "engine/core/schedule.hpp"
@@ -37,6 +38,7 @@ SscCore::SscCore(std::vector<SscMember> members, EngineOptions options, EngineOb
                           std::none_of(q.partition_slots().begin(), q.partition_slots().end(),
                                        [](std::size_t s) { return s == CompiledStep::npos; });
                  });
+  build_classes();
   build_rows();
   if (!partitioned_) root_ = make_shard();
 }
@@ -47,20 +49,8 @@ void SscCore::add_member(std::uint32_t mi, SscMember sm) {
   Member m;
   m.query = std::move(sm.query);
   m.sink = std::move(sm.sink);
-  std::vector<std::size_t> positive;
   for (std::size_t s = 0; s < q.num_steps(); ++s)
-    (q.step(s).negated ? m.step_of_negated : positive).push_back(s);
-  // One predicate schedule per anchor ordinal: binding order
-  // a, a−1, …, 0, a+1, …, n−1 (as pattern step indices).
-  const std::size_t n = positive.size();
-  m.anchored_schedule.resize(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    std::vector<std::size_t> order;
-    order.reserve(n);
-    for (std::size_t k = a + 1; k-- > 0;) order.push_back(positive[k]);
-    for (std::size_t k = a + 1; k < n; ++k) order.push_back(positive[k]);
-    m.anchored_schedule[a] = build_predicate_schedule(q, order);
-  }
+    if (q.step(s).negated) m.step_of_negated.push_back(s);
   m.neg_check_predicates.resize(m.step_of_negated.size());
   for (std::size_t i = 0; i < m.step_of_negated.size(); ++i) {
     for (std::size_t pi = 0; pi < q.predicates().size(); ++pi) {
@@ -74,6 +64,56 @@ void SscCore::add_member(std::uint32_t mi, SscMember sm) {
   if (!m.step_of_negated.empty()) sealing_.push_back(mi);
   all_members_.push_back(mi);
   members_.push_back(std::move(m));
+}
+
+bool SscCore::same_skeleton(const CompiledQuery& a, const CompiledQuery& b) const {
+  // A member with negated steps seals its own candidates: it constructs
+  // alone.
+  if (a.num_positive() != a.num_steps() || b.num_positive() != b.num_steps()) return false;
+  if (a.num_steps() != b.num_steps() || a.window() != b.window()) return false;
+  for (std::size_t s = 0; s < a.num_steps(); ++s)
+    if (a.step(s).type != b.step(s).type) return false;
+  if (partitioned_ && a.partition_slots() != b.partition_slots()) return false;
+  // The multi-step predicates, in order: the leader's schedule runs them
+  // for the whole class.
+  const auto& pa = a.predicates();
+  const auto& pb = b.predicates();
+  const auto multi = [](const CompiledPredicate& p) { return p.steps().size() > 1; };
+  for (std::size_t i = 0, j = 0;; ++i, ++j) {
+    while (i < pa.size() && !multi(pa[i])) ++i;
+    while (j < pb.size() && !multi(pb[j])) ++j;
+    if (i == pa.size() || j == pb.size()) return i == pa.size() && j == pb.size();
+    if (!(pa[i] == pb[j])) return false;
+  }
+}
+
+void SscCore::build_classes() {
+  for (std::uint32_t mi = 0; mi < members_.size(); ++mi) {
+    Member& m = members_[mi];
+    auto it = std::find_if(classes_.begin(), classes_.end(), [&](const Class& c) {
+      return c.members.size() < kClassWidth &&
+             same_skeleton(*members_[c.members.front()].query, *m.query);
+    });
+    if (it == classes_.end()) it = classes_.emplace(classes_.end());
+    m.klass = static_cast<std::uint32_t>(it - classes_.begin());
+    it->everyone |= MemberMask{1} << it->members.size();
+    it->members.push_back(mi);
+  }
+  // One predicate schedule per anchor ordinal: binding order
+  // a, a−1, …, 0, a+1, …, n−1 (as pattern step indices).
+  for (Class& c : classes_) {
+    const CompiledQuery& q = *members_[c.members.front()].query;
+    const std::vector<std::size_t>& positive = q.positive_steps();
+    const std::size_t n = positive.size();
+    c.anchored_schedule.resize(n);
+    for (std::size_t a = 0; a < n; ++a) {
+      std::vector<std::size_t> order;
+      order.reserve(n);
+      for (std::size_t k = a + 1; k-- > 0;) order.push_back(positive[k]);
+      for (std::size_t k = a + 1; k < n; ++k) order.push_back(positive[k]);
+      c.anchored_schedule[a] = build_predicate_schedule(q, order);
+    }
+  }
 }
 
 void SscCore::build_rows() {
@@ -100,7 +140,7 @@ void SscCore::build_rows() {
       if (st.negated) {
         m.buffer_of[negated] = buffer_rows_.size();
         rows.push_back(Row{mi, s, local, key_slot, true, buffer_rows_.size(), {}});
-        buffer_rows_.push_back(Anchor{mi, static_cast<std::uint32_t>(negated++)});
+        buffer_rows_.push_back(BufferOwner{mi, static_cast<std::uint32_t>(negated++)});
         continue;
       }
       Row* row = nullptr;
@@ -113,8 +153,19 @@ void SscCore::build_rows() {
         rows.push_back(Row{mi, s, filter, key_slot, false, stack_rows_++, {}});
         row = &rows.back();
       }
-      row->anchors.push_back(Anchor{mi, static_cast<std::uint32_t>(m.positive.size())});
+      // The class leader's anchors construct for the whole class.
+      if (classes_[m.klass].members.front() == mi)
+        row->anchors.push_back(Anchor{m.klass, static_cast<std::uint32_t>(m.positive.size())});
       m.positive.push_back(Position{s, row->index, row->filter == nullptr ? local : nullptr});
+    }
+  }
+  arrivals_.assign(relevant_.size() + 1, ArrivalCounts{});
+  for (Class& c : classes_) {
+    c.filtered.assign(members_[c.members.front()].positive.size(), 0);
+    for (std::size_t j = 0; j < c.members.size(); ++j) {
+      const Member& m = members_[c.members[j]];
+      for (std::size_t k = 0; k < m.positive.size(); ++k)
+        if (m.positive[k].visit_filter != nullptr) c.filtered[k] |= MemberMask{1} << j;
     }
   }
 }
@@ -123,7 +174,7 @@ SscCore::Shard SscCore::make_shard() const {
   Shard sh;
   sh.stacks.resize(stack_rows_);
   sh.negatives.reserve(buffer_rows_.size());
-  for (const Anchor& b : buffer_rows_) {
+  for (const BufferOwner& b : buffer_rows_) {
     const Member& m = members_[b.member];
     sh.negatives.emplace_back(*m.query, m.step_of_negated[b.ordinal]);
   }
@@ -173,14 +224,15 @@ void SscCore::on_batch(std::span<const Event* const> batch) {
   std::uint64_t seen = 0, late = 0, violations = 0;
   for (const Event* pe : batch) {
     const Event& e = *pe;
-    const auto& audience = arrival_audience(e.type);
-    for (const std::uint32_t mi : audience) ++members_[mi].stats.events_seen;
-    seen += audience.size();
+    ArrivalCounts& counts = arrivals_[arrival_bucket(e.type)];
+    const std::size_t audience = arrival_audience(e.type).size();
+    ++counts.seen;
+    seen += audience;
     if (!admission_.admit(e)) continue;
     const Timestamp lateness = clock_.observe(e);
     if (lateness > 0) {
-      for (const std::uint32_t mi : audience) ++members_[mi].stats.late_events;
-      late += audience.size();
+      ++counts.late;
+      late += audience;
     }
     if (options_.adaptive_slack) {
       estimator_->observe(lateness);
@@ -190,8 +242,8 @@ void SscCore::on_batch(std::span<const Event* const> batch) {
     if (e.ts <= seal_watermark_) {
       // The effective contract is broken: seal/purge decisions at or
       // above this timestamp are already final. LatePolicy decides.
-      for (const std::uint32_t mi : audience) ++members_[mi].stats.contract_violations;
-      violations += audience.size();
+      ++counts.violations;
+      violations += audience;
       if (!admission_.admit_violation(e)) continue;
     }
     batch_admitted_.push_back(AdmittedEvent{pe, seal_watermark_, clock_.now()});
@@ -226,13 +278,13 @@ void SscCore::on_batch(std::span<const Event* const> batch) {
     const Event& e = *ae.e;
     arrival_watermark_ = ae.wm;
     if (!relevant(e.type)) continue;
-    for (const std::uint32_t mi : relevant_[e.type]) ++members_[mi].stats.events_relevant;
+    ++arrivals_[e.type].relevant;
     EventHandle h = kNullEventHandle;  // allocated on first accepting row
     for (const Row& row : rows_of_type_[e.type]) {
       if (row.filter != nullptr) {
         Member& m = members_[row.member];
         m.bindings[row.step] = &e;
-        const bool pass = eval(m, *row.filter);
+        const bool pass = eval(m, m.bindings, *row.filter);
         m.bindings[row.step] = nullptr;
         if (!pass) continue;
       }
@@ -260,8 +312,14 @@ void SscCore::on_batch(std::span<const Event* const> batch) {
       // Nothing inserts during construction, so the reference is stable
       // across the whole anchor sweep.
       const OooInstance& anchor = stack[idx];
-      for (const Anchor& a : row.anchors)
-        construct_anchored(members_[a.member], shard, key, a.ordinal, anchor);
+      for (const Anchor& a : row.anchors) {
+        const Class& c = classes_[a.klass];
+        if (c.members.size() > 1) {
+          construct_anchored<true>(c, shard, key, a.ordinal, anchor);
+        } else {
+          construct_anchored<false>(c, shard, key, a.ordinal, anchor);
+        }
+      }
     }
   }
 
@@ -287,99 +345,165 @@ void SscCore::on_batch(std::span<const Event* const> batch) {
   EngineObs::set(obs_.effective_slack, clock_.slack());
 }
 
-void SscCore::construct_anchored(Member& m, Shard& shard, const Value& key,
+template <bool kShared>
+bool SscCore::bind(const Class& c, Member& lead, std::size_t ordinal, const OooInstance& inst,
+                   [[maybe_unused]] MemberMask& live) {
+  const Position& pos = lead.positive[ordinal];
+  lead.bindings[pos.step] = &arena_.get(inst.handle);
+  if constexpr (kShared) {
+    // Only members still alive pay for their filter.
+    for (MemberMask test = live & c.filtered[ordinal]; test != 0; test &= test - 1) {
+      const int j = std::countr_zero(test);
+      Member& m = members_[c.members[j]];
+      if (!eval(m, lead.bindings, *m.positive[ordinal].visit_filter))
+        live &= ~(MemberMask{1} << j);
+    }
+    if (live != 0) return true;
+  } else {
+    if (pos.visit_filter == nullptr || eval(lead, lead.bindings, *pos.visit_filter)) return true;
+  }
+  lead.bindings[pos.step] = nullptr;
+  return false;
+}
+
+bool SscCore::has_partners(const Member& lead, const Shard& shard, std::size_t anchor_ordinal,
+                           Timestamp ts) const {
+  // The same ranges the first level of left_phase / right_phase walks.
+  if (lead.positive.size() == 1) return true;
+  const Timestamp window = lead.query->window();
+  if (anchor_ordinal > 0) {
+    const SortedStack& left = shard.stacks[lead.positive[anchor_ordinal - 1].stack];
+    return left.count_ts_below(ts) != left.count_ts_below(ts - window);
+  }
+  const SortedStack& right = shard.stacks[lead.positive[1].stack];
+  const std::size_t v = right.first_ts_above(ts);
+  return v < right.size() && right[v].ts <= ts + window;
+}
+
+template <bool kShared>
+void SscCore::construct_anchored(const Class& c, Shard& shard, const Value& key,
                                  std::size_t anchor_ordinal, const OooInstance& anchor) {
-  // An unfiltered row's anchor must pass this member's step-local
+  Member& lead = members_[c.members.front()];
+  // Most anchors of a selective family have nothing to join; skip the
+  // class's filters for them.
+  if constexpr (kShared) {
+    if (!has_partners(lead, shard, anchor_ordinal, anchor.ts)) return;
+  }
+  // An unfiltered row's anchor must pass a member's step-local
   // predicates before the member constructs around it.
-  if (!bind(m, anchor_ordinal, anchor)) return;
-  ++m.stats.construction_visits;
+  MemberMask live = c.everyone;
+  if (!bind<kShared>(c, lead, anchor_ordinal, anchor, live)) return;
+  ++lead.stats.construction_visits;
   // Multi-step predicates are never ready at position 0, so descend
   // straight away.
   if (anchor_ordinal > 0) {
-    left_phase(m, shard, key, anchor_ordinal - 1, anchor_ordinal, anchor);
-  } else if (m.positive.size() > 1) {
-    right_phase(m, shard, key, 1, anchor_ordinal);
+    left_phase<kShared>(c, shard, key, anchor_ordinal - 1, anchor_ordinal, anchor, live);
+  } else if (lead.positive.size() > 1) {
+    right_phase<kShared>(c, shard, key, 1, anchor_ordinal, live);
   } else {
-    complete_candidate(m, shard, key);
+    complete<kShared>(c, shard, key, live);
   }
-  m.bindings[m.positive[anchor_ordinal].step] = nullptr;
+  lead.bindings[lead.positive[anchor_ordinal].step] = nullptr;
 }
 
-void SscCore::left_phase(Member& m, Shard& shard, const Value& key, std::size_t ordinal,
-                         std::size_t anchor_ordinal, const OooInstance& successor) {
-  const SortedStack& stack = shard.stacks[m.positive[ordinal].stack];
-  const Timestamp anchor_ts = m.bindings[m.positive[anchor_ordinal].step]->ts;
+template <bool kShared>
+void SscCore::left_phase(const Class& c, Shard& shard, const Value& key, std::size_t ordinal,
+                         std::size_t anchor_ordinal, const OooInstance& successor,
+                         MemberMask live) {
+  Member& lead = members_[c.members.front()];
+  const SortedStack& stack = shard.stacks[lead.positive[ordinal].stack];
+  const Timestamp anchor_ts = lead.bindings[lead.positive[anchor_ordinal].step]->ts;
   // Predecessor range: everything with ts strictly below the successor's,
   // loosely floored by the window anchored at the anchor (the eventual
   // last binding is >= anchor_ts, so nothing below anchor_ts − W can be
   // the first element of a valid match; the exact window check happens in
   // the right phase against the actual first binding).
   const std::size_t ub = stack.count_ts_below(successor.ts);
-  const std::size_t floor = stack.count_ts_below(anchor_ts - m.query->window());
-  const auto& ready = m.anchored_schedule[anchor_ordinal][anchor_ordinal - ordinal];
+  const std::size_t floor = stack.count_ts_below(anchor_ts - lead.query->window());
+  const auto& ready = c.anchored_schedule[anchor_ordinal][anchor_ordinal - ordinal];
   for (std::size_t v = ub; v-- > floor;) {
     const OooInstance& inst = stack[v];
-    ++m.stats.construction_visits;
-    if (!bind(m, ordinal, inst) || !eval(m, ready)) continue;
+    ++lead.stats.construction_visits;
+    MemberMask alive = live;
+    if (!bind<kShared>(c, lead, ordinal, inst, alive) || !eval(lead, lead.bindings, ready))
+      continue;
     if (ordinal > 0) {
-      left_phase(m, shard, key, ordinal - 1, anchor_ordinal, inst);
-    } else if (anchor_ordinal + 1 < m.positive.size()) {
-      right_phase(m, shard, key, anchor_ordinal + 1, anchor_ordinal);
+      left_phase<kShared>(c, shard, key, ordinal - 1, anchor_ordinal, inst, alive);
+    } else if (anchor_ordinal + 1 < lead.positive.size()) {
+      right_phase<kShared>(c, shard, key, anchor_ordinal + 1, anchor_ordinal, alive);
     } else {
-      complete_candidate(m, shard, key);
+      complete<kShared>(c, shard, key, alive);
     }
   }
-  m.bindings[m.positive[ordinal].step] = nullptr;
+  lead.bindings[lead.positive[ordinal].step] = nullptr;
 }
 
-void SscCore::right_phase(Member& m, Shard& shard, const Value& key, std::size_t ordinal,
-                          std::size_t anchor_ordinal) {
-  const SortedStack& stack = shard.stacks[m.positive[ordinal].stack];
-  const Timestamp prev_ts = m.bindings[m.positive[ordinal - 1].step]->ts;
-  const Timestamp ceiling = m.bindings[m.positive[0].step]->ts + m.query->window();
-  const auto& ready = m.anchored_schedule[anchor_ordinal][ordinal];
+template <bool kShared>
+void SscCore::right_phase(const Class& c, Shard& shard, const Value& key, std::size_t ordinal,
+                          std::size_t anchor_ordinal, MemberMask live) {
+  Member& lead = members_[c.members.front()];
+  const SortedStack& stack = shard.stacks[lead.positive[ordinal].stack];
+  const Timestamp prev_ts = lead.bindings[lead.positive[ordinal - 1].step]->ts;
+  const Timestamp ceiling = lead.bindings[lead.positive[0].step]->ts + lead.query->window();
+  const auto& ready = c.anchored_schedule[anchor_ordinal][ordinal];
   for (std::size_t v = stack.first_ts_above(prev_ts); v < stack.size(); ++v) {
     const OooInstance& inst = stack[v];
     if (inst.ts > ceiling) break;  // sorted: all further fail the window
-    ++m.stats.construction_visits;
-    if (!bind(m, ordinal, inst) || !eval(m, ready)) continue;
-    if (ordinal + 1 < m.positive.size()) {
-      right_phase(m, shard, key, ordinal + 1, anchor_ordinal);
+    ++lead.stats.construction_visits;
+    MemberMask alive = live;
+    if (!bind<kShared>(c, lead, ordinal, inst, alive) || !eval(lead, lead.bindings, ready))
+      continue;
+    if (ordinal + 1 < lead.positive.size()) {
+      right_phase<kShared>(c, shard, key, ordinal + 1, anchor_ordinal, alive);
     } else {
-      complete_candidate(m, shard, key);
+      complete<kShared>(c, shard, key, alive);
     }
   }
-  m.bindings[m.positive[ordinal].step] = nullptr;
+  lead.bindings[lead.positive[ordinal].step] = nullptr;
 }
 
-Timestamp SscCore::completion_clock(const Member& m) const {
+template <bool kShared>
+void SscCore::complete(const Class& c, Shard& shard, const Value& key,
+                       [[maybe_unused]] MemberMask live) {
+  Member& lead = members_[c.members.front()];
+  if constexpr (kShared) {
+    for (; live != 0; live &= live - 1)
+      complete_candidate(members_[c.members[std::countr_zero(live)]], shard, key, lead.bindings);
+  } else {
+    complete_candidate(lead, shard, key, lead.bindings);
+  }
+}
+
+Timestamp SscCore::completion_clock(const Member& m,
+                                    std::span<const Event* const> bindings) const {
   // The per-event path completed the candidate when its last constituent
   // arrived, and the clock only grows with arrivals. (Events restored
   // from a checkpoint carry no stamp; they arrived before any live one.)
   Timestamp t = kMinTimestamp;
   for (const Position& p : m.positive)
-    t = std::max(t, EventArena::stamp_of(*m.bindings[p.step]));
+    t = std::max(t, EventArena::stamp_of(*bindings[p.step]));
   return t;
 }
 
-void SscCore::complete_candidate(Member& m, Shard& shard, const Value& key) {
+void SscCore::complete_candidate(Member& m, Shard& shard, const Value& key,
+                                 std::span<const Event*> bindings) {
   const CompiledQuery& q = *m.query;
   std::vector<NegCheck> checks;
   checks.reserve(m.step_of_negated.size());
   Timestamp seal_ts = kMinTimestamp;
   for (std::size_t i = 0; i < m.step_of_negated.size(); ++i) {
     const CompiledStep& s = q.step(m.step_of_negated[i]);
-    const Timestamp lo = m.bindings[s.prev_positive]->ts;
-    const Timestamp hi = m.bindings[s.next_positive]->ts;
+    const Timestamp lo = bindings[s.prev_positive]->ts;
+    const Timestamp hi = bindings[s.next_positive]->ts;
     checks.push_back(NegCheck{i, lo, hi});
     seal_ts = std::max(seal_ts, hi);
   }
-  if (!checks.empty() && violated_now(m, shard, checks, m.bindings)) return;
+  if (!checks.empty() && violated_now(m, shard, checks, bindings)) return;
 
   Match match;
   match.events.reserve(m.positive.size());
-  for (const Position& p : m.positive) match.events.push_back(*m.bindings[p.step]);
-  match.detection_clock = completion_clock(m);
+  for (const Position& p : m.positive) match.events.push_back(*bindings[p.step]);
+  match.detection_clock = completion_clock(m, bindings);
 
   if (checks.empty() || sealed_at_arrival(seal_ts)) {
     EngineObs::observe(obs_.latency_wall_us, 0);  // emitted within the arrival call
@@ -401,7 +525,8 @@ void SscCore::complete_candidate(Member& m, Shard& shard, const Value& key) {
   }
   PendingMatch pm{std::move(match), std::move(checks), seal_ts, key};
   if (obs_.enabled()) pm.held_since = std::chrono::steady_clock::now();
-  m.pending.push(std::move(pm));
+  m.pending.push_back(std::move(pm));
+  std::push_heap(m.pending.begin(), m.pending.end(), PendingLater{});
   shared_stats_.note_pending_added();
 }
 
@@ -418,7 +543,6 @@ void SscCore::emit(Member& m, Match&& match) {
 
 void SscCore::handle_late_negative(Member& m, const Value& key, const Event& e,
                                    std::size_t ordinal) {
-  const CompiledQuery& q = *m.query;
   const std::size_t step = m.step_of_negated[ordinal];
   // A victim needs e.ts strictly inside some interval (lo, hi), and
   // hi <= seal_ts, so only entries with seal_ts > e.ts qualify — the
@@ -432,18 +556,10 @@ void SscCore::handle_late_negative(Member& m, const Value& key, const Event& e,
     if (!partitioned_ || pm.shard_key == key) {
       for (const NegCheck& c : pm.checks) {
         if (c.ordinal != ordinal || e.ts <= c.lo || e.ts >= c.hi) continue;
-        std::vector<const Event*> bindings(q.num_steps(), nullptr);
-        for (std::size_t k = 0; k < m.positive.size(); ++k)
-          bindings[m.positive[k].step] = &pm.match.events[k];
-        bindings[step] = &e;
-        retract = true;
-        for (const std::size_t pi : m.neg_check_predicates[ordinal]) {
-          ++m.stats.predicate_evals;
-          if (!q.predicates()[pi].eval(bindings)) {
-            retract = false;
-            break;
-          }
-        }
+        bind_held(m, pm.match);
+        m.bindings[step] = &e;
+        retract = eval(m, m.bindings, m.neg_check_predicates[ordinal]);
+        std::fill(m.bindings.begin(), m.bindings.end(), nullptr);
         if (retract) break;
       }
     }
@@ -480,7 +596,7 @@ Timestamp SscCore::next_due() const {
   Timestamp t = kMaxTimestamp;
   for (const std::uint32_t mi : sealing_) {
     const Member& m = members_[mi];
-    if (!m.pending.empty()) t = std::min(t, m.pending.top().seal_ts);
+    if (!m.pending.empty()) t = std::min(t, m.pending.front().seal_ts);
     if (!m.unsealed.empty()) t = std::min(t, m.unsealed.front().seal_ts);
   }
   return t;
@@ -503,9 +619,8 @@ void SscCore::process_pending_up_to(Timestamp watermark) {
   };
   for (const std::uint32_t mi : sealing_) {
     Member& m = members_[mi];
-    while (!m.pending.empty() && sealed_at(m.pending.top().seal_ts)) {
-      PendingMatch pm = m.pending.top();
-      m.pending.pop();
+    while (!m.pending.empty() && sealed_at(m.pending.front().seal_ts)) {
+      PendingMatch pm = pop_pending(m);
       --shared_stats_.pending_matches;
       const Timestamp at = sealing_clock(pm.seal_ts);
       resolve_pending(m, std::move(pm), at);
@@ -524,16 +639,29 @@ void SscCore::process_pending_up_to(Timestamp watermark) {
   }
 }
 
+SscCore::PendingMatch SscCore::pop_pending(Member& m) {
+  std::pop_heap(m.pending.begin(), m.pending.end(), PendingLater{});
+  PendingMatch pm = std::move(m.pending.back());
+  m.pending.pop_back();
+  return pm;
+}
+
+void SscCore::bind_held(Member& m, const Match& match) {
+  for (std::size_t k = 0; k < m.positive.size(); ++k)
+    m.bindings[m.positive[k].step] = &match.events[k];
+}
+
 void SscCore::resolve_pending(Member& m, PendingMatch&& pm, Timestamp resolved_at) {
   trace_span(TraceKind::kSeal, pm.match.last_ts(), clock_.now(), &pm.match);
   EngineObs::inc(obs_.seals);
   Shard* shard = find_shard(pm.shard_key);
   if (shard != nullptr) {
-    // Rebuild the positive bindings for negation-predicate evaluation.
-    std::vector<const Event*> bindings(m.query->num_steps(), nullptr);
-    for (std::size_t k = 0; k < m.positive.size(); ++k)
-      bindings[m.positive[k].step] = &pm.match.events[k];
-    if (violated_now(m, *shard, pm.checks, bindings)) {
+    // Recheck over the member's scratch bindings: no construction runs
+    // while held matches seal.
+    bind_held(m, pm.match);
+    const bool violated = violated_now(m, *shard, pm.checks, m.bindings);
+    std::fill(m.bindings.begin(), m.bindings.end(), nullptr);
+    if (violated) {
       ++m.stats.matches_cancelled;
       EngineObs::inc(obs_.cancels);
       trace_span(TraceKind::kCancel, pm.match.last_ts(), clock_.now(), &pm.match);
@@ -554,10 +682,8 @@ void SscCore::finish() {
   for (const std::uint32_t mi : sealing_) {
     Member& m = members_[mi];
     while (!m.pending.empty()) {
-      PendingMatch pm = m.pending.top();
-      m.pending.pop();
       --shared_stats_.pending_matches;
-      resolve_pending(m, std::move(pm), clock_.now());
+      resolve_pending(m, pop_pending(m), clock_.now());
     }
     // Aggressive policy: unsealed emissions become final — already
     // delivered, nothing left to do beyond dropping the revocation state.
@@ -644,8 +770,24 @@ void SscCore::reset_purge_point(Shard& shard) {
   shard.purge_point = p;
 }
 
-EngineStats SscCore::member_stats(std::size_t i) const {
+EngineStats SscCore::folded_stats(std::size_t i) const {
   EngineStats s = members_.at(i).stats;
+  for (std::size_t b = 0; b < arrivals_.size(); ++b) {
+    // The last bucket holds the types no member references: every
+    // member counts them.
+    if (b < relevant_.size() && !std::binary_search(relevant_[b].begin(), relevant_[b].end(), i))
+      continue;
+    const ArrivalCounts& a = arrivals_[b];
+    s.events_seen += a.seen;
+    s.events_relevant += a.relevant;
+    s.late_events += a.late;
+    s.contract_violations += a.violations;
+  }
+  return s;
+}
+
+EngineStats SscCore::member_stats(std::size_t i) const {
+  EngineStats s = folded_stats(i);
   if (i == 0) s += shared_stats_;
   s.effective_slack = clock_.slack();
   return s;
@@ -723,7 +865,7 @@ void SscCore::snapshot(CheckpointWriter& w) const {
   w.u64(members_.size());
   for (const Member& m : members_) w.str(m.query->text());
   w.stats(shared_stats_);
-  for (const Member& m : members_) w.stats(m.stats);
+  for (std::size_t i = 0; i < members_.size(); ++i) w.stats(folded_stats(i));
   write_clock(w, clock_);
   if (estimator_) write_estimator(w, *estimator_);
   write_admission(w, admission_);
@@ -749,19 +891,15 @@ void SscCore::snapshot(CheckpointWriter& w) const {
     // The pending heap's internal layout depends on insertion history;
     // serialize its contents canonically sorted so equal logical state
     // snapshots to equal bytes. Restore re-heapifies by pushing.
-    auto heap = m.pending;
-    std::vector<PendingMatch> pend;
-    pend.reserve(heap.size());
-    while (!heap.empty()) {
-      pend.push_back(heap.top());
-      heap.pop();
-    }
-    std::sort(pend.begin(), pend.end(), [](const PendingMatch& a, const PendingMatch& b) {
-      if (a.seal_ts != b.seal_ts) return a.seal_ts < b.seal_ts;
-      return match_key(a.match) < match_key(b.match);
+    std::vector<const PendingMatch*> pend;
+    pend.reserve(m.pending.size());
+    for (const PendingMatch& pm : m.pending) pend.push_back(&pm);
+    std::sort(pend.begin(), pend.end(), [](const PendingMatch* a, const PendingMatch* b) {
+      if (a->seal_ts != b->seal_ts) return a->seal_ts < b->seal_ts;
+      return match_key(a->match) < match_key(b->match);
     });
     w.u64(pend.size());
-    for (const PendingMatch& pm : pend) write_pending(w, pm);
+    for (const PendingMatch* pm : pend) write_pending(w, *pm);
     // The revocable list is kept in deterministic (seal_ts, insertion)
     // order; preserve it verbatim.
     w.u64(m.unsealed.size());
@@ -778,7 +916,9 @@ void SscCore::restore(CheckpointReader& r) {
     if (r.str() != m.query->text()) throw CheckpointError("ssc checkpoint query drift");
   }
   shared_stats_ = r.stats();
+  // The frame holds each member's folded arrival counters.
   for (Member& m : members_) m.stats = r.stats();
+  std::fill(arrivals_.begin(), arrivals_.end(), ArrivalCounts{});
   read_clock(r, clock_);
   if (estimator_) read_estimator(r, *estimator_);
   read_admission(r, admission_);
@@ -802,9 +942,12 @@ void SscCore::restore(CheckpointReader& r) {
     root_ = read_shard(r);
   }
   for (Member& m : members_) {
-    m.pending = {};
+    m.pending.clear();
     const std::size_t n_pending = r.count();
-    for (std::size_t i = 0; i < n_pending; ++i) m.pending.push(read_pending(r));
+    for (std::size_t i = 0; i < n_pending; ++i) {
+      m.pending.push_back(read_pending(r));
+      std::push_heap(m.pending.begin(), m.pending.end(), PendingLater{});
+    }
     m.unsealed.clear();
     const std::size_t n_unsealed = r.count();
     for (std::size_t i = 0; i < n_unsealed; ++i) m.unsealed.push_back(read_pending(r));

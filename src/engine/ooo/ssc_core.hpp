@@ -17,14 +17,25 @@
 //      - several members (a shared-scan group, built by the
 //        MultiQueryRunner): one UNFILTERED row per event type, shared by
 //        every member whose pattern uses the type. One insertion replaces
-//        N; each member evaluates its own step-local predicates when its
-//        construction visits an entry.
+//        N; each member's step-local predicates run when a construction
+//        visits an entry (its visit filter).
 //    Negated steps get their own per-member filtered rows, which hold a
 //    NegativeBuffer instead of a stack.
 //
+//  * Construction classes. Members with the same positive skeleton —
+//    the same steps and types, window, partition slots and structurally
+//    equal multi-step predicates — differ only in their step-local
+//    predicates, and form one class (at most 64 members; a larger family
+//    splits). One anchored construction per (class, ordinal) serves the
+//    whole class: it carries a bitmask of the members still alive, which
+//    each member's visit filter narrows as entries are bound, and a
+//    completed candidate is emitted once per member left in the mask. A
+//    class of one (every solo query, every member with negated steps)
+//    runs the same walk compiled without the mask.
+//
 //  * Retroactive construction: a newly inserted event e can only create
 //    matches that CONTAIN e, so construction is anchored at e — once per
-//    (member, ordinal) anchor of e's row — enumerating leftward (ordinals
+//    (class, ordinal) anchor of e's row — enumerating leftward (ordinals
 //    below the anchor, timestamps descending below e.ts) then rightward
 //    (ascending, bounded by the window anchored at the first binding).
 //    Every new match is emitted exactly once: at the insertion of its
@@ -64,19 +75,21 @@
 //    batch of one.
 //
 // Stats: arrival counters (events_seen / late / violations / relevant)
-// go to every member the arriving type is relevant to — an event no
-// member references is a clock tick for every member — and construction
-// and emission counters to the member doing the work. Physical counters
-// (admission outcomes, instances, buffers, pending, purges, footprint)
-// exist once and are folded into member 0's snapshot, so summing members
-// equals the core's physical reality.
+// are counted once per event type and folded into every member the type
+// is relevant to when stats are read or snapshotted — an event no member
+// references is a clock tick for every member. A class's walk charges
+// its visits and multi-step predicate evaluations to the class leader,
+// and each step-local evaluation and emission to the member it ran for.
+// Physical counters (admission outcomes, instances, buffers, pending,
+// purges, footprint) exist once and are folded into member 0's snapshot,
+// so summing members equals the core's physical reality.
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -143,7 +156,14 @@ class SscCore {
   };
   using ShardMap = std::unordered_map<Value, Shard, ValueHasher>;
 
+  // One construction an insertion triggers: a class and one of its
+  // positive ordinals.
   struct Anchor {
+    std::uint32_t klass;
+    std::uint32_t ordinal;
+  };
+  // The member and negated ordinal a negative row buffers for.
+  struct BufferOwner {
     std::uint32_t member;
     std::uint32_t ordinal;
   };
@@ -177,6 +197,8 @@ class SscCore {
     // metrics are enabled.
     std::chrono::steady_clock::time_point held_since{};
   };
+  // Orders Member::pending as a min-heap on seal_ts (std::push_heap /
+  // std::pop_heap, so a sealed entry moves out of the heap, not copies).
   struct PendingLater {
     bool operator()(const PendingMatch& a, const PendingMatch& b) const noexcept {
       return a.seal_ts > b.seal_ts;
@@ -199,19 +221,46 @@ class SscCore {
     std::vector<Position> positive;             // by positive ordinal
     std::vector<std::size_t> step_of_negated;   // negated ordinal -> step
     std::vector<std::size_t> buffer_of;         // negated ordinal -> buffer row index
-    // anchored_schedule[a][pos]: predicate ids ready at position pos of
-    // the binding order (a, a−1, …, 0, a+1, …, n−1) — ordinals.
-    std::vector<std::vector<std::vector<std::size_t>>> anchored_schedule;
     // Non-local predicates referencing each negated ordinal — evaluated
     // directly when the aggressive policy probes a late negative.
     std::vector<std::vector<std::size_t>> neg_check_predicates;
-    std::vector<const Event*> bindings;  // by pattern step, into the arena
-    std::priority_queue<PendingMatch, std::vector<PendingMatch>, PendingLater> pending;
+    // By pattern step, into the arena. A class leader's construction
+    // binds here; outside construction it is every member's scratch for
+    // rechecking a held match.
+    std::vector<const Event*> bindings;
+    std::uint32_t klass = 0;  // index into classes_
+    std::vector<PendingMatch> pending;  // heap under PendingLater
     // Aggressive policy: emitted matches whose negation intervals have
     // not sealed yet — still revocable. Ordered by seal_ts, so sealing
     // pops a prefix and a late negative at ts t inspects only the suffix
     // with seal_ts > t.
     std::deque<PendingMatch> unsealed;
+  };
+
+  // Bit j stands for Class::members[j].
+  using MemberMask = std::uint64_t;
+  static constexpr std::size_t kClassWidth = 64;
+
+  // Members sharing one positive skeleton (see same_skeleton). The walk
+  // uses the leader's (members.front()) positions, window and bindings.
+  struct Class {
+    std::vector<std::uint32_t> members;  // ascending, at most kClassWidth
+    MemberMask everyone = 0;
+    // anchored_schedule[a][pos]: the leader's multi-step predicate ids
+    // ready at position pos of the binding order (a, a−1, …, 0, a+1, …,
+    // n−1) — ordinals.
+    std::vector<std::vector<std::vector<std::size_t>>> anchored_schedule;
+    // filtered[k]: the members with a visit filter at positive ordinal k.
+    std::vector<MemberMask> filtered;
+  };
+
+  // Arrivals counted once per event type; member_stats and snapshot fold
+  // them into each member the type is relevant to.
+  struct ArrivalCounts {
+    std::uint64_t seen = 0;
+    std::uint64_t relevant = 0;
+    std::uint64_t late = 0;
+    std::uint64_t violations = 0;
   };
 
   // Phase A's record of one admitted arrival: the seal watermark in
@@ -232,6 +281,10 @@ class SscCore {
   };
 
   void add_member(std::uint32_t mi, SscMember sm);
+  // Greedy in member order: each member joins the first class whose
+  // leader has its skeleton and that has room, else leads a new one.
+  void build_classes();
+  bool same_skeleton(const CompiledQuery& a, const CompiledQuery& b) const;
   void build_rows();
   Shard make_shard() const;
   // The key's shard; a new key takes a spare node before a new shard is
@@ -241,37 +294,59 @@ class SscCore {
   const std::vector<std::uint32_t>& arrival_audience(TypeId t) const noexcept {
     return relevant(t) ? relevant_[t] : all_members_;
   }
+  // Where an arrival of type `t` is counted: its own entry of arrivals_
+  // when some member references it, else the last one, which every
+  // member counts.
+  std::size_t arrival_bucket(TypeId t) const noexcept {
+    return relevant(t) ? t : relevant_.size();
+  }
+  // members_[i].stats with member i's share of arrivals_ added.
+  EngineStats folded_stats(std::size_t i) const;
 
-  // Evaluates `predicates` over m.bindings, counting each evaluation.
-  static bool eval(Member& m, const std::vector<std::size_t>& predicates) {
+  // Evaluates `predicates` of m's query over `bindings`, counting each
+  // evaluation against m.
+  static bool eval(Member& m, std::span<const Event* const> bindings,
+                   const std::vector<std::size_t>& predicates) {
     for (const std::size_t pi : predicates) {
       ++m.stats.predicate_evals;
-      if (!m.query->predicates()[pi].eval(m.bindings)) return false;
+      if (!m.query->predicates()[pi].eval(bindings)) return false;
     }
     return true;
   }
-  // Binds the visited entry at `ordinal`; false when an unfiltered row's
-  // entry fails the member's step-local predicates.
-  bool bind(Member& m, std::size_t ordinal, const OooInstance& inst) {
-    const Position& pos = m.positive[ordinal];
-    m.bindings[pos.step] = &arena_.get(inst.handle);
-    if (pos.visit_filter != nullptr && !eval(m, *pos.visit_filter)) {
-      m.bindings[pos.step] = nullptr;
-      return false;
-    }
-    return true;
-  }
-  void construct_anchored(Member& m, Shard& shard, const Value& key,
+  // The anchored walk, compiled twice: kShared carries the mask of live
+  // class members (a class of more than one); without it the class's one
+  // member runs its visit filters directly and `live` is unused.
+  //
+  // bind: binds the visited entry at `ordinal` into the class leader
+  // `lead` and drops from `live` the members whose visit filter rejects
+  // it; false when none is left.
+  template <bool kShared>
+  bool bind(const Class& c, Member& lead, std::size_t ordinal, const OooInstance& inst,
+            MemberMask& live);
+  template <bool kShared>
+  void construct_anchored(const Class& c, Shard& shard, const Value& key,
                           std::size_t anchor_ordinal, const OooInstance& anchor);
-  void left_phase(Member& m, Shard& shard, const Value& key, std::size_t ordinal,
-                  std::size_t anchor_ordinal, const OooInstance& successor);
-  void right_phase(Member& m, Shard& shard, const Value& key, std::size_t ordinal,
-                   std::size_t anchor_ordinal);
-  void complete_candidate(Member& m, Shard& shard, const Value& key);
+  template <bool kShared>
+  void left_phase(const Class& c, Shard& shard, const Value& key, std::size_t ordinal,
+                  std::size_t anchor_ordinal, const OooInstance& successor, MemberMask live);
+  template <bool kShared>
+  void right_phase(const Class& c, Shard& shard, const Value& key, std::size_t ordinal,
+                   std::size_t anchor_ordinal, MemberMask live);
+  // Completes the bound candidate for every member left in `live`.
+  template <bool kShared>
+  void complete(const Class& c, Shard& shard, const Value& key, MemberMask live);
+  // False when the ordinal next to the anchor has no entry its range
+  // admits, so no member can complete a candidate around it.
+  bool has_partners(const Member& lead, const Shard& shard, std::size_t anchor_ordinal,
+                    Timestamp ts) const;
+  // Completes the bound candidate for member m; `bindings` are its class
+  // leader's.
+  void complete_candidate(Member& m, Shard& shard, const Value& key,
+                          std::span<const Event*> bindings);
   void emit(Member& m, Match&& match);
   // The clock at the arrival of the bound candidate's last-arriving
   // constituent: where the per-event path would have completed it.
-  Timestamp completion_clock(const Member& m) const;
+  Timestamp completion_clock(const Member& m, std::span<const Event* const> bindings) const;
   bool violated_now(Member& m, Shard& shard, const std::vector<NegCheck>& checks,
                     std::span<const Event*> bindings);
   // Resolve held matches sealed by `watermark` (not necessarily the
@@ -279,6 +354,10 @@ class SscCore {
   // matches the per-event path would still have held at that moment).
   void process_pending_up_to(Timestamp watermark);
   void resolve_pending(Member& m, PendingMatch&& pm, Timestamp resolved_at);
+  // Moves the earliest-sealing held match out of m's heap.
+  static PendingMatch pop_pending(Member& m);
+  // Points m.bindings at a held match's events; the caller clears them.
+  static void bind_held(Member& m, const Match& match);
   // Clock at the first arrival of this batch whose watermark seals an
   // interval ending at `seal_ts`.
   Timestamp sealing_clock(Timestamp seal_ts) const;
@@ -319,6 +398,7 @@ class SscCore {
   EngineObs obs_;
   MqoObs mqo_obs_;  // groups of >= 2 members only
   std::vector<Member> members_;
+  std::vector<Class> classes_;
   std::vector<std::uint32_t> all_members_;
   std::vector<std::uint32_t> sealing_;  // members with negated steps
 
@@ -344,8 +424,9 @@ class SscCore {
   // solo query lists its steps) and the members it is relevant to.
   std::vector<std::vector<Row>> rows_of_type_;
   std::vector<std::vector<std::uint32_t>> relevant_;
+  std::vector<ArrivalCounts> arrivals_;  // by arrival_bucket
   std::size_t stack_rows_ = 0;
-  std::vector<Anchor> buffer_rows_;  // (member, negated ordinal) per negative row
+  std::vector<BufferOwner> buffer_rows_;  // per negative row
 
   Shard root_;
   ShardMap shards_;

@@ -10,6 +10,12 @@
 
 namespace oosp {
 
+bool ResolvedOperand::operator==(const ResolvedOperand& o) const noexcept {
+  if (is_literal != o.is_literal) return false;
+  if (is_literal) return literal.type() == o.literal.type() && literal == o.literal;
+  return step == o.step && slot == o.slot;
+}
+
 bool CompiledPredicate::references(std::size_t step) const noexcept {
   return std::binary_search(steps_.begin(), steps_.end(), step);
 }

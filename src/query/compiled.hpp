@@ -43,6 +43,10 @@ struct ResolvedOperand {
   Value literal;         // valid when is_literal
   std::size_t step = 0;  // valid when !is_literal
   std::size_t slot = 0;
+
+  // Same literal (value AND type, since 5 and 5.0 compare differently
+  // against a large int) or same (step, slot).
+  bool operator==(const ResolvedOperand& o) const noexcept;
 };
 
 // One top-level conjunct of the WHERE clause, in evaluable form.
@@ -64,6 +68,13 @@ class CompiledPredicate {
 
   const std::string& text() const noexcept { return text_; }
 
+  // Structural equality over resolved operands, operators and steps —
+  // not text: `a.val < b.val` means different things when the pattern
+  // binds `a` and `b` to swapped steps.
+  bool operator==(const CompiledPredicate& o) const noexcept {
+    return root_ == o.root_ && steps_ == o.steps_ && positive_only_ == o.positive_only_;
+  }
+
  private:
   friend class Analyzer;
 
@@ -73,6 +84,8 @@ class CompiledPredicate {
     ResolvedOperand lhs, rhs;
     CmpOp op = CmpOp::kEq;
     std::vector<Node> children;
+
+    bool operator==(const Node&) const = default;
   };
 
   static bool eval_node(const Node& n, std::span<const Event* const> bindings);

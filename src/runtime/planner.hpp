@@ -7,8 +7,11 @@
 // state-shaping options, a shared SEQ-prefix, and (when partitioned)
 // agreeing per-type key attributes — into ScanGroupPlans; at execution
 // time one SSC core (engine/ooo/ssc_core.hpp) per group maintains ONE set
-// of timestamp-ordered Active Instance Stacks for all members while
-// sequence construction and predicate evaluation stay per-query.
+// of timestamp-ordered Active Instance Stacks for all members. Inside the
+// core, members with the same positive skeleton (differing only in
+// step-local predicates) also share construction: one walk per
+// insertion, narrowed per member by a bitmask; other members construct
+// on their own.
 //
 // Grouping is deterministic: entries are visited in registration order
 // and greedily join the first compatible open bucket, so the same query

@@ -408,6 +408,46 @@ TEST(SscAllocations, SharedGroupSparseKeysAllocateNothing) {
   EXPECT_EQ(sink->matches, 0u);
 }
 
+// A solo SEQ(A, !B, C) holds each candidate until its negation interval
+// seals. Sealing moves the held match out of the heap and rechecks it
+// over the member's scratch bindings, so neither a clock tick that seals
+// held matches nor finish() allocates. The tick is of a type no step
+// references, so nothing is stored and no stack grows.
+TEST(SscAllocations, SealingHeldMatchesAllocatesNothing) {
+  const TypeRegistry reg = make_abcd_registry();
+  const CompiledQuery q = compile_query("PATTERN SEQ(A a, !B b, C c) WITHIN 5", reg);
+  EngineOptions opt;
+  opt.slack = 100'000;  // nothing seals until the tick
+  opt.purge_period = 0;
+  constexpr std::size_t kHeld = 64;  // per sealing call
+  const auto sink = std::make_shared<CountingMatchSink>();
+  const auto engine = make_test_engine(EngineKind::kOoo, q, sink, opt);
+  EventId id = 0;
+  for (std::size_t i = 0; i < 2 * kHeld; ++i) {
+    const auto ts = static_cast<Timestamp>(10 * i);
+    engine->on_event(make_event(reg, "A", id++, ts));
+    engine->on_event(make_event(reg, "C", id++, ts + 2));
+  }
+  ASSERT_EQ(sink->matches, 0u);
+  ASSERT_EQ(engine->stats_snapshot().pending_matches, 2 * kHeld);
+
+  // Seal point = clock − K − 1 = 10·kHeld − 6: the first kHeld intervals
+  // (ending at most at 10·kHeld − 8) seal, the next one (10·kHeld + 2)
+  // does not.
+  const Event tick =
+      make_event(reg, "D", id++, static_cast<Timestamp>(10 * kHeld) + opt.slack - 5);
+  std::size_t before = t_allocations;
+  engine->on_event(tick);
+  EXPECT_EQ(t_allocations - before, 0u) << "sealing on a clock tick allocated";
+  EXPECT_EQ(sink->matches, kHeld);
+
+  before = t_allocations;
+  engine->finish();
+  EXPECT_EQ(t_allocations - before, 0u) << "sealing at finish() allocated";
+  EXPECT_EQ(sink->matches, 2 * kHeld);
+  EXPECT_EQ(engine->stats_snapshot().pending_matches, 0u);
+}
+
 // ----------------------------------------------------------- arena
 
 TEST(EventArena, RecyclingAndAddressStability) {

@@ -209,7 +209,13 @@ TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
   // 2-4 queries sharing the first type T0. A sharded point draws keyed
   // forms only: an unkeyed query would make the Session fall back to one
   // shard.
+  struct SeqDraw {
+    std::size_t len;
+    bool keyed;
+    Timestamp window;
+  };
   std::vector<std::string> texts;
+  std::vector<SeqDraw> seq_draws;
   const auto n_queries = static_cast<std::size_t>(rng.uniform_int(2, 4));
   for (std::size_t i = 0; i < n_queries; ++i) {
     const Timestamp window = rng.uniform_int(40, 300);
@@ -221,11 +227,24 @@ TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
     const bool keyed = shards > 1 || rng.bernoulli(0.6);
     const std::int64_t min_val = rng.bernoulli(0.4) ? rng.uniform_int(100, 800) : -1;
     texts.push_back(wl.seq_query(len, keyed, window, min_val));
+    seq_draws.push_back(SeqDraw{len, keyed, window});
   }
 
   const std::size_t kill_at =
       static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(arrivals.size()) - 1));
   const std::size_t checkpoint_every = static_cast<std::size_t>(rng.uniform_int(5, 60));
+
+  // Half the points append a threshold sibling of a drawn SEQ query: same
+  // length, window and key, a new a0.val bound. In a shared scan the two
+  // form one construction class, which then meets kills, aggressive
+  // negation and late policies. The sibling draws from a stream of its
+  // own, so every draw above and every batch size below stays as it was.
+  Rng sibling_rng(seed * 0x9e3779b97f4a7c15ull + 17);
+  if (!seq_draws.empty() && sibling_rng.bernoulli(0.5)) {
+    const SeqDraw& d = seq_draws[static_cast<std::size_t>(
+        sibling_rng.uniform_int(0, static_cast<std::int64_t>(seq_draws.size()) - 1))];
+    texts.push_back(wl.seq_query(d.len, d.keyed, d.window, sibling_rng.uniform_int(0, 999)));
+  }
 
   std::ostringstream recipe;
   recipe << "seed=" << seed << " shards=" << shards << " batch=" << (ragged ? "1-300" : "1")

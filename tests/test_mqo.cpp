@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -232,7 +233,14 @@ Output run_mix(const SyntheticWorkload& wl, const std::vector<Event>& arrivals,
 TEST(MqoMatrix, SharedScanOutputBitIdenticalToPerQueryEngines) {
   // Mix A: every query groups. Mix B: grouped + solo (negation, unkeyed
   // 4-step chain) so routing interleaves group and per-query slots.
-  const std::vector<std::string> mix_names{"grouped-only", "grouped+solo"};
+  // Mix C: construction classes inside one group — two queries whose
+  // WHERE text is the same but whose bindings are swapped (different
+  // classes), a step-local filter on the second step (joins the W=150
+  // family), and a one-member class (W=600) whose filter runs on the
+  // group's unfiltered rows. Mix D: 70 threshold variants, more than one
+  // class holds, so the family splits.
+  const std::vector<std::string> mix_names{"grouped-only", "grouped+solo", "classes",
+                                           "wide-family"};
   for (const std::uint64_t seed : {5ull, 71ull}) {
     SyntheticWorkload wl({.num_events = 6'000, .num_types = 4,
                           .key_cardinality = 24, .mean_gap = 4,
@@ -242,12 +250,22 @@ TEST(MqoMatrix, SharedScanOutputBitIdenticalToPerQueryEngines) {
     const auto arrivals = inj.deliver(ordered);
     const Timestamp slack = inj.slack_bound();
 
+    std::vector<std::string> wide;
+    for (std::int64_t i = 0; i < 70; ++i)
+      wide.push_back(wl.seq_query(2, true, 150, i == 0 ? -1 : i * 12));
     const std::vector<std::vector<std::string>> mixes{
         {wl.seq_query(2, true, 150), wl.seq_query(3, true, 300),
          wl.seq_query(2, true, 150, /*min_val=*/25),
          wl.seq_query(2, true, 600)},
         {wl.seq_query(2, true, 150), wl.seq_query(3, true, 300),
          wl.negation_query(150), wl.seq_query(4, false, 200)},
+        {wl.seq_query(2, true, 150),
+         "PATTERN SEQ(T0 a, T1 b) WHERE a.key == b.key AND a.val < b.val WITHIN 150",
+         "PATTERN SEQ(T0 b, T1 a) WHERE a.key == b.key AND a.val < b.val WITHIN 150",
+         "PATTERN SEQ(T0 a0, T1 a1) WHERE a0.key == a1.key AND a1.val < 500 WITHIN 150",
+         wl.seq_query(2, true, 150, /*min_val=*/200),
+         wl.seq_query(2, true, 600, /*min_val=*/300)},
+        wide,
     };
     for (std::size_t m = 0; m < mixes.size(); ++m) {
       // Baseline: one engine per query, single shard, per-event feed.
@@ -308,6 +326,42 @@ TEST(MqoMatrix, QuarantineDrainIdenticalSharedVsSolo) {
   }
 }
 
+// ----------------------------------------------- construction classes
+
+// A class's walk skips an anchor whose neighbouring level holds nothing
+// in range before any member's filter runs. Both range checks keep the
+// window's closed edge: a late A exactly W before its B (anchor at the
+// first ordinal, looking right) and an in-order B exactly W after its A
+// (anchor at the last ordinal, looking left). Pairs W + 1 apart match
+// neither way.
+TEST(MqoClasses, WindowEdgeReachedFromEitherEnd) {
+  const TypeRegistry reg = testutil::make_abcd_registry();
+  const auto sink = std::make_shared<CollectingTaggedSink>();
+  MultiQueryRunner runner(reg, sink);
+  EngineOptions opt;
+  opt.slack = 200;
+  for (const int min_v : {0, 5}) {
+    runner.add_query({"PATTERN SEQ(A a, B b) WHERE a.k == b.k AND a.v >= " +
+                          std::to_string(min_v) + " WITHIN 150",
+                      EngineKind::kOoo, opt});
+  }
+  using testutil::make_event;
+  const std::vector<Event> arrivals{
+      make_event(reg, "B", 0, 150, 1, 9),  make_event(reg, "A", 1, 0, 1, 9),
+      make_event(reg, "A", 2, 1000, 2, 9), make_event(reg, "B", 3, 1150, 2, 9),
+      make_event(reg, "B", 4, 2151, 3, 9), make_event(reg, "A", 5, 2000, 3, 9),
+      make_event(reg, "A", 6, 3000, 4, 9), make_event(reg, "B", 7, 3151, 4, 9)};
+  for (const Event& e : arrivals) runner.on_event(e);
+  runner.finish();
+  ASSERT_EQ(runner.group_count(), 1u);
+  const std::vector<MatchKey> want{{1, 0}, {2, 3}};  // (a, b) ids
+  for (QueryId q = 0; q < 2; ++q) {
+    std::vector<MatchKey> got = sink->keys_for(q);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << "query " << q;
+  }
+}
+
 // ------------------------------------------------------ crash recovery
 
 TEST(MqoRecovery, KillAtBatchBoundariesRecoversThroughGroupCheckpoint) {
@@ -348,9 +402,11 @@ TEST(MqoRecovery, RunnerSnapshotRoundTripsWithGroups) {
   const auto arrivals = inj.deliver(ordered);
   EngineOptions opt;
   opt.slack = inj.slack_bound();
+  // Mixed plan: one group (in which the two W=150 queries form one
+  // construction class) + one solo engine.
   const std::vector<std::string> queries{
       wl.seq_query(2, true, 150), wl.seq_query(3, true, 300),
-      wl.negation_query(150)};  // mixed plan: one group + one solo engine
+      wl.negation_query(150), wl.seq_query(2, true, 150, /*min_val=*/40)};
 
   auto build = [&](std::shared_ptr<CollectingTaggedSink>& sink) {
     sink = std::make_shared<CollectingTaggedSink>();
@@ -389,6 +445,18 @@ TEST(MqoRecovery, RunnerSnapshotRoundTripsWithGroups) {
 
     for (std::size_t i = cut; i < arrivals.size(); ++i) r2->on_event(arrivals[i]);
     r2->finish();
+
+    // Arrival counters are counted per event type and folded into each
+    // member; the checkpoint carries the folded values.
+    for (QueryId q = 0; q < queries.size(); ++q) {
+      const EngineStats got = r2->stats(q);
+      const EngineStats want = full->stats(q);
+      EXPECT_EQ(got.events_seen, want.events_seen) << "query " << q << " cut=" << cut;
+      EXPECT_EQ(got.events_relevant, want.events_relevant) << "query " << q << " cut=" << cut;
+      EXPECT_EQ(got.late_events, want.late_events) << "query " << q << " cut=" << cut;
+      EXPECT_EQ(got.contract_violations, want.contract_violations)
+          << "query " << q << " cut=" << cut;
+    }
 
     // Union of pre-kill and post-restore matches == uninterrupted run.
     for (QueryId q = 0; q < queries.size(); ++q) {
