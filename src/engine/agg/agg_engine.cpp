@@ -78,14 +78,14 @@ void AggEngine::on_event(const Event& e) {
     ++stats_.contract_violations;
     EngineObs::inc(obs_.violations);
     if (!admission_.admit_violation(e)) {
-      run_seal_pass();
+      run_seal_pass(seal_watermark_);
       if (options_.aggressive_negation) run_speculative_pass();
       return;
     }
   }
   ++stats_.events_relevant;
   ingest(e);
-  run_seal_pass();
+  run_seal_pass(seal_watermark_);
   if (options_.aggressive_negation) run_speculative_pass();
   maybe_purge();
   stats_.note_footprint(stats_.footprint());
@@ -99,7 +99,7 @@ void AggEngine::tick(Timestamp ts) {
   if (clock_.started() && ts <= clock_.now()) return;
   clock_.advance_to(ts);
   seal_watermark_ = std::max(seal_watermark_, clock_.seal_point());
-  run_seal_pass();
+  run_seal_pass(seal_watermark_);
   if (options_.aggressive_negation) run_speculative_pass();
 }
 
@@ -255,8 +255,8 @@ Timestamp AggEngine::release_bound(Timestamp clock) const {
   return seal_agenda_.empty() ? seal : std::min(seal, seal_agenda_.top().end - 2);
 }
 
-void AggEngine::run_seal_pass() {
-  while (!seal_agenda_.empty() && sealed(seal_agenda_.top().end)) {
+void AggEngine::run_seal_pass(Timestamp horizon) {
+  while (!seal_agenda_.empty() && horizon >= seal_agenda_.top().end - 1) {
     const Due due = seal_agenda_.top();
     seal_agenda_.pop();
     KeyState& ks = keyed_ ? keys_.at(due.key) : root_;
@@ -323,20 +323,8 @@ void AggEngine::refresh_gauges() {
 }
 
 void AggEngine::finish() {
-  // End of stream seals everything still open; drain the agenda in its
-  // (end, index, key) order.
-  while (!seal_agenda_.empty()) {
-    const Due due = seal_agenda_.top();
-    seal_agenda_.pop();
-    KeyState& ks = keyed_ ? keys_.at(due.key) : root_;
-    const auto it = ks.windows.find(due.index);
-    OOSP_ASSERT(it != ks.windows.end());
-    EngineObs::inc(obs_.seals);
-    if (!it->second.emitted) emit_window(ks, due.key, due.index, it->second);
-    ks.windows.erase(it);
-    OOSP_ASSERT(stats_.pending_matches > 0);
-    --stats_.pending_matches;
-  }
+  // End of stream seals everything still open.
+  run_seal_pass(kMaxTimestamp);
   spec_agenda_ = Agenda{};
   refresh_gauges();
   EngineObs::set(obs_.footprint, static_cast<std::int64_t>(stats_.footprint()));

@@ -59,8 +59,6 @@ class AggEngine final : public PatternEngine {
   void snapshot(CheckpointWriter& w) const override;
   void restore(CheckpointReader& r) override;
 
-  Timestamp seal_watermark() const noexcept { return seal_watermark_; }
-
   // An open window [start, end) still emits (or revises) a result with
   // seal_ts end − 1; a window not open yet needs an arrival above the
   // seal point.
@@ -105,7 +103,9 @@ class AggEngine final : public PatternEngine {
 
   void tick(Timestamp ts);
   void emit_window(const KeyState& ks, const Value& key, std::int64_t index, WindowState& w);
-  void run_seal_pass();
+  // Emits and closes, in agenda order (end, index, key), every open
+  // window that is final once the seal watermark reaches `horizon`.
+  void run_seal_pass(Timestamp horizon);
   void run_speculative_pass();
   void maybe_purge();
   void purge();

@@ -81,7 +81,6 @@ class AggTree {
 
   std::size_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-  std::size_t leaf_count() const noexcept { return leaves_.size(); }
   // Effective search depth: binary-search steps over the leaf directory
   // plus the leaf level itself (0 when empty) — the obs tree-depth gauge.
   std::size_t depth() const noexcept {

@@ -210,10 +210,6 @@ class PatternEngine {
 
   const CompiledQuery& query() const noexcept { return query_; }
   const EngineOptions& options() const noexcept { return options_; }
-  const std::shared_ptr<MatchSink>& sink_ptr() const noexcept { return ctx_.sink; }
-  const std::shared_ptr<const CompiledQuery>& query_ptr() const noexcept {
-    return ctx_.query;
-  }
 
  protected:
   void emit(Match&& m) {

@@ -26,9 +26,9 @@
 //     returns, and is issued at most once per emission.
 //   * The net result set (emissions minus retractions, as multisets of
 //     match keys) equals what the conservative policy would have
-//     emitted. Sinks that cannot tolerate revisions (e.g. pipeline
-//     composition into a downstream engine) should refuse retractions
-//     loudly rather than ignore them — see CompositeEmitter.
+//     emitted. Sinks that cannot tolerate revisions (e.g. feeding
+//     matches into a downstream engine as events) should refuse
+//     retractions loudly, by throwing, rather than ignore them.
 //   * The default implementations ignore retractions, so purely
 //     conservative pipelines need not care.
 #pragma once

@@ -26,11 +26,7 @@ InOrderEngine::InOrderEngine(EngineContext ctx) : PatternEngine(std::move(ctx)) 
   bindings_.assign(query.num_steps(), nullptr);
   single_.assign(query.num_steps(), nullptr);
 
-  // Partition only when every step (negated included) is in the equality
-  // class, so each shard is self-contained.
-  partitioned_ = options_.partition_by_key && query.partitionable() &&
-                 std::none_of(query.partition_slots().begin(), query.partition_slots().end(),
-                              [](std::size_t s) { return s == CompiledStep::npos; });
+  partitioned_ = options_.partition_by_key && query.keys_every_step();
   if (!partitioned_) root_ = make_shard();
 }
 

@@ -32,12 +32,8 @@ SscCore::SscCore(std::vector<SscMember> members, EngineOptions options, EngineOb
   members_.reserve(members.size());
   for (std::uint32_t mi = 0; mi < members.size(); ++mi) add_member(mi, std::move(members[mi]));
   partitioned_ = options_.partition_by_key &&
-                 std::all_of(members_.begin(), members_.end(), [](const Member& m) {
-                   const CompiledQuery& q = *m.query;
-                   return q.partitionable() &&
-                          std::none_of(q.partition_slots().begin(), q.partition_slots().end(),
-                                       [](std::size_t s) { return s == CompiledStep::npos; });
-                 });
+                 std::all_of(members_.begin(), members_.end(),
+                             [](const Member& m) { return m.query->keys_every_step(); });
   build_classes();
   build_rows();
   if (!partitioned_) root_ = make_shard();

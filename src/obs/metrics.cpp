@@ -127,11 +127,6 @@ void MetricsRegistry::reset() {
   }
 }
 
-std::size_t MetricsRegistry::family_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return families_.size();
-}
-
 std::size_t MetricsRegistry::slot_count(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = families_.find(name);

@@ -177,7 +177,6 @@ class MetricsRegistry {
   // slots; do not race with a scrape you intend to trust.
   void reset();
 
-  std::size_t family_count() const;
   // Number of registered slots under `name` (0 when absent).
   std::size_t slot_count(std::string_view name) const;
 

@@ -70,6 +70,12 @@ std::vector<TypeId> CompiledQuery::positive_type_chain() const {
   return chain;
 }
 
+bool CompiledQuery::keys_every_step() const noexcept {
+  return partitionable_ &&
+         std::none_of(partition_slots_.begin(), partition_slots_.end(),
+                      [](std::size_t s) { return s == CompiledStep::npos; });
+}
+
 std::size_t CompiledQuery::uniform_partition_slot(TypeId t) const noexcept {
   if (!partitionable_) return CompiledStep::npos;
   std::size_t slot = CompiledStep::npos;

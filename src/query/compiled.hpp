@@ -60,8 +60,6 @@ class CompiledPredicate {
   // Sorted, de-duplicated step indices referenced.
   const std::vector<std::size_t>& steps() const noexcept { return steps_; }
   bool references(std::size_t step) const noexcept;
-  std::size_t min_step() const noexcept { return steps_.front(); }
-  std::size_t max_step() const noexcept { return steps_.back(); }
 
   // True when no negated step is referenced.
   bool positive_only() const noexcept { return positive_only_; }
@@ -166,6 +164,10 @@ class CompiledQuery {
   // steps outside the class — possible only for negated steps).
   bool partitionable() const noexcept { return partitionable_; }
   const std::vector<std::size_t>& partition_slots() const noexcept { return partition_slots_; }
+  // Every step, negated ones included, keys on the equality class, so a
+  // shard of hash-partitioned state is self-contained. Engines partition
+  // exactly when this holds and EngineOptions::partition_by_key is set.
+  bool keys_every_step() const noexcept;
 
   // Aggregation queries compile to an AggSpec plus the single positive
   // step above; pattern-only machinery (shared scans, negation) must not

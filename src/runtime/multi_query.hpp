@@ -110,9 +110,6 @@ class MultiQueryRunner {
   const CompiledQuery& query(QueryId id) const {
     return *registrations_.at(id).query;
   }
-  const std::shared_ptr<const CompiledQuery>& query_ptr(QueryId id) const {
-    return registrations_.at(id).query;
-  }
 
   // Per-query stats whether the query runs solo or grouped. For grouped
   // queries, arrival counters are replicated per member and the group's

@@ -26,23 +26,22 @@ std::string_view to_string(Pressure p) noexcept {
 
 namespace {
 
-std::size_t depth_threshold(double fraction, std::size_t capacity) {
-  const double clamped = std::min(1.0, std::max(0.0, fraction));
-  return static_cast<std::size_t>(clamped * static_cast<double>(capacity));
-}
+// Watermark-lag escalation: the shard's consumed stream time trailing
+// the producer's routed high-water mark by this many lateness scales
+// raises the grade, independent of depth.
+constexpr double kLagWarnFactor = 4.0;
+constexpr double kLagShedFactor = 16.0;
 
 }  // namespace
 
+// Queue depth grades: kWarn from half the ring's usable capacity, kShed
+// from seven eighths of it (so a full ring is always kShed).
 OverloadMonitor::OverloadMonitor(const OverloadConfig& config,
                                  std::size_t queue_capacity, MetricsRegistry* metrics)
     : config_(config),
-      capacity_(queue_capacity),
-      warn_depth_(depth_threshold(config.warn_fraction, queue_capacity)),
-      shed_depth_(depth_threshold(config.shed_fraction, queue_capacity)),
+      warn_depth_(queue_capacity / 2),
+      shed_depth_(queue_capacity * 7 / 8),
       lateness_(config.estimator) {
-  // A full ring is kShed regardless of how permissive the fractions are.
-  warn_depth_ = std::min(warn_depth_, capacity_);
-  shed_depth_ = std::min(std::max(shed_depth_, warn_depth_), capacity_);
   if (metrics) {
     pressure_ = metrics->gauge("oosp_overload_pressure", GaugeAgg::kMax,
                                "graded overload pressure (0=ok 1=warn 2=shed)");
@@ -87,7 +86,7 @@ void OverloadMonitor::refresh_cut() {
 
 Pressure OverloadMonitor::assess(std::size_t depth, Timestamp lag) {
   Pressure p = Pressure::kOk;
-  if (depth >= capacity_ || depth >= shed_depth_) {
+  if (depth >= shed_depth_) {
     p = Pressure::kShed;
   } else if (depth >= warn_depth_) {
     p = Pressure::kWarn;
@@ -96,9 +95,9 @@ Pressure OverloadMonitor::assess(std::size_t depth, Timestamp lag) {
   // before its queue fills (the producer outruns it in stream time).
   if (lag > 0 && p != Pressure::kShed) {
     const double scaled = static_cast<double>(lag) / static_cast<double>(scale_);
-    if (scaled >= config_.lag_shed_factor) {
+    if (scaled >= kLagShedFactor) {
       p = Pressure::kShed;
-    } else if (scaled >= config_.lag_warn_factor && p == Pressure::kOk) {
+    } else if (scaled >= kLagWarnFactor && p == Pressure::kOk) {
       p = Pressure::kWarn;
     }
   }

@@ -40,12 +40,15 @@
 // oosp_overload_shed_total).
 //
 // The per-shard OverloadMonitor fuses three signals into a graded
-// pressure level (kOk/kWarn/kShed), exported as oosp_overload_pressure:
-//   * queue depth as a fraction of capacity (the direct signal);
+// pressure level (kOk/kWarn/kShed), exported as oosp_overload_pressure.
+// The grade thresholds are fixed (overload.cpp), not configured:
+//   * queue depth as a fraction of capacity (the direct signal): kWarn
+//     from half the ring, kShed from seven eighths of it;
 //   * watermark lag — how far the shard's consumed stream time trails
 //     the producer's high-water mark, in multiples of the estimated
-//     lateness scale (a slow consumer shows here before its queue
-//     fills, because the producer outruns it in stream time);
+//     lateness scale: kWarn from 4x, kShed from 16x (a slow consumer
+//     shows here before its queue fills, because the producer outruns
+//     it in stream time);
 //   * the SlackEstimator lateness distribution of this shard's
 //     arrivals, which prices each event's shedding cost.
 //
@@ -96,18 +99,6 @@ class OverloadError : public std::runtime_error {
 
 struct OverloadConfig {
   OverloadPolicy policy = OverloadPolicy::kBlock;
-
-  // Queue-depth fractions (of the ring's usable capacity) where the
-  // pressure grade steps up. Depth >= shed_fraction * capacity — or a
-  // plainly full ring — is kShed.
-  double warn_fraction = 0.50;
-  double shed_fraction = 0.875;
-
-  // Watermark-lag escalation: the shard's consumed stream time trailing
-  // the producer's routed high-water mark by more than factor * max(1,
-  // estimated lateness scale) raises the grade, independent of depth.
-  double lag_warn_factor = 4.0;
-  double lag_shed_factor = 16.0;
 
   // kShedByLateness: the shed cut starts at this quantile of observed
   // lateness; forced sheds (fresh event, full queue, deadline expired)
@@ -175,13 +166,11 @@ class OverloadMonitor {
 
   Timestamp lateness_cut() const noexcept { return cut_; }
   Timestamp lateness_scale() const noexcept { return scale_; }
-  Pressure last_pressure() const noexcept { return last_; }
 
  private:
   void refresh_cut();
 
   const OverloadConfig& config_;  // owned by the ShardedRunner; outlives us
-  std::size_t capacity_;
   std::size_t warn_depth_;
   std::size_t shed_depth_;
   SlackEstimator lateness_;   // sample ring only; its estimate() is unused

@@ -21,13 +21,10 @@ bool options_group_equal(const EngineOptions& a, const EngineOptions& b) {
          a.partition_by_key == b.partition_by_key && a.metrics == b.metrics;
 }
 
-// Mirrors the SSC core's partitioning decision for a solo query, so a
-// group shards by key exactly when each member's own engine would have.
+// The SSC core's partitioning decision for a solo query, so a group
+// shards by key exactly when each member's own engine would have.
 bool effectively_partitioned(const ScanPlanEntry& e) {
-  const CompiledQuery& q = *e.query;
-  return e.options.partition_by_key && q.partitionable() &&
-         std::none_of(q.partition_slots().begin(), q.partition_slots().end(),
-                      [](std::size_t s) { return s == CompiledStep::npos; });
+  return e.options.partition_by_key && e.query->keys_every_step();
 }
 
 }  // namespace
@@ -66,23 +63,25 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
   struct Building {
     ScanGroupPlan plan;
     const ScanPlanEntry* leader = nullptr;
-    std::vector<TypeId> prefix;  // running common positive-type prefix
+    TypeId first_type = kInvalidType;  // every member's first positive type
+    bool partitioned = false;          // every member keys uniformly per type
+    // Indexed by TypeId; the equi-join slot for that type when
+    // `partitioned` (npos for types no member uses).
+    std::vector<std::size_t> type_slot;
   };
 
   ScanPlan out;
   std::vector<Building> open;
 
   const auto slot_of = [](const Building& b, TypeId t) -> std::size_t {
-    return t < b.plan.type_slot.size() ? b.plan.type_slot[t]
-                                       : CompiledStep::npos;
+    return t < b.type_slot.size() ? b.type_slot[t] : CompiledStep::npos;
   };
   const auto absorb = [](Building& b, const CompiledQuery& q,
                          const std::vector<TypeId>& chain) {
-    if (!b.plan.partitioned) return;
+    if (!b.partitioned) return;
     for (const TypeId t : chain) {
-      if (t >= b.plan.type_slot.size())
-        b.plan.type_slot.resize(t + 1, CompiledStep::npos);
-      b.plan.type_slot[t] = q.uniform_partition_slot(t);
+      if (t >= b.type_slot.size()) b.type_slot.resize(t + 1, CompiledStep::npos);
+      b.type_slot[t] = q.uniform_partition_slot(t);
     }
   };
 
@@ -99,10 +98,10 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
     bool placed = false;
     for (Building& b : open) {
       if (!options_group_equal(e.options, b.leader->options)) continue;
-      if (b.plan.partitioned != partitioned) continue;
+      if (b.partitioned != partitioned) continue;
       // Sharing pays off only when the scans actually overlap: require a
       // common SEQ prefix of at least the first step.
-      if (b.prefix.empty() || b.prefix.front() != chain.front()) continue;
+      if (b.first_type != chain.front()) continue;
       if (partitioned) {
         // Overlapping types must agree on the key attribute — the group
         // keeps ONE stack per (type, key shard).
@@ -119,19 +118,14 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
       }
       b.plan.members.push_back(id);
       absorb(b, q, chain);
-      std::size_t lcp = 0;
-      while (lcp < b.prefix.size() && lcp < chain.size() &&
-             b.prefix[lcp] == chain[lcp])
-        ++lcp;
-      b.prefix.resize(lcp);
       placed = true;
       break;
     }
     if (!placed) {
       Building b;
       b.leader = &e;
-      b.prefix = chain;
-      b.plan.partitioned = partitioned;
+      b.first_type = chain.front();
+      b.partitioned = partitioned;
       b.plan.members.push_back(id);
       absorb(b, q, chain);
       open.push_back(std::move(b));
@@ -144,7 +138,6 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
       out.solo.push_back(b.plan.members.front());
       continue;
     }
-    b.plan.shared_prefix_len = b.prefix.size();
     out.groups.push_back(std::move(b.plan));
   }
   std::sort(out.solo.begin(), out.solo.end());

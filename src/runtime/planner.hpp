@@ -43,15 +43,10 @@ struct ScanPlanEntry {
 };
 
 // One shared-scan group: >= 2 queries that will maintain a single set of
-// per-type stacks.
+// per-type stacks. The SSC core works out the group's partitioning from
+// the members' queries and options, so the plan carries only who shares.
 struct ScanGroupPlan {
-  std::vector<QueryId> members;       // ascending registration order
-  std::size_t shared_prefix_len = 0;  // longest common positive-type prefix
-  bool partitioned = false;           // every member keys uniformly per type
-
-  // Indexed by TypeId; the equi-join slot for that type when
-  // `partitioned` (npos for types no member uses).
-  std::vector<std::size_t> type_slot;
+  std::vector<QueryId> members;  // ascending registration order
 };
 
 struct ScanPlan {

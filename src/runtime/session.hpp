@@ -219,11 +219,6 @@ class SessionConfig {
     overload_ = std::move(cfg);
     return *this;
   }
-  // Convenience: set just the policy, keeping the tuning defaults.
-  SessionConfig& overload_policy(OverloadPolicy policy) {
-    overload_.policy = policy;
-    return *this;
-  }
 
   // Registers a query. Ids are assigned densely in declaration order.
   // A bare string converts implicitly; `{text, kind}` and

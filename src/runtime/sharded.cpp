@@ -311,16 +311,13 @@ void ShardedRunner::checkpoint_shard(Shard& shard) {
   shard.runner->snapshot(w);
   std::vector<std::uint8_t> bytes = std::move(w).finalize();
   const std::size_t frame_size = bytes.size();
-  {
-    // The emission count moves with the bytes: a restore from them
-    // renumbers the replay's emissions from here.
-    std::lock_guard<std::mutex> lock(shard.ckpt_mu);
-    shard.ckpt_bytes = std::move(bytes);
-    shard.ckpt_consumed_locked = shard.consumed;
-    shard.ckpt_emitted_locked = shard.outbox->emitted;
-  }
+  // The emission count moves with the bytes: a restore from them
+  // renumbers the replay's emissions from here.
+  shard.ckpt_bytes = std::move(bytes);
+  shard.ckpt_bytes_consumed = shard.consumed;
+  shard.ckpt_bytes_emitted = shard.outbox->emitted;
   // Trim watermark last (release): a producer that observes it is
-  // guaranteed the locked section above already happened.
+  // guaranteed the checkpoint above already happened.
   shard.ckpt_consumed.store(shard.consumed, std::memory_order_release);
   if (checkpoints_) {
     checkpoints_->inc();
@@ -393,21 +390,17 @@ bool ShardedRunner::supervise_dead_shard(Shard& shard) {
     shard.runner = make_runner(shard);
     try {
       std::uint64_t replayed = 0;
-      std::uint64_t ckpt_consumed = 0;
-      {
-        std::lock_guard<std::mutex> lock(shard.ckpt_mu);
-        if (!shard.ckpt_bytes.empty()) {
-          CheckpointReader r(shard.ckpt_bytes);
-          shard.runner->restore(r);
-          r.expect_done();
-        }
-        ckpt_consumed = shard.ckpt_consumed_locked;
-        shard.outbox->emitted = shard.ckpt_emitted_locked;
+      if (!shard.ckpt_bytes.empty()) {
+        CheckpointReader r(shard.ckpt_bytes);
+        shard.runner->restore(r);
+        r.expect_done();
       }
+      const std::uint64_t ckpt_consumed = shard.ckpt_bytes_consumed;
+      shard.outbox->emitted = shard.ckpt_bytes_emitted;
       shard.outbox->discard_below = shard.received;
-      // Replay the backup suffix the checkpoint does not cover. The trim
-      // watermark may lag the locked consumed count (it is published
-      // after the lock), so skip what the checkpoint already absorbed.
+      // Replay the backup suffix the checkpoint does not cover. The backup
+      // is trimmed lazily, so it may still hold events the checkpoint
+      // already absorbed: skip them.
       OOSP_CHECK(ckpt_consumed >= shard.trimmed,
                  "checkpoint watermark behind the backup trim point");
       const std::uint64_t skip = ckpt_consumed - shard.trimmed;

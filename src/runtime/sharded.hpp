@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -349,16 +348,17 @@ class ShardedRunner {
     std::size_t restarts = 0;   // lifetime restart count (producer-owned)
     bool dropped = false;       // kDegradeDropShard spent the budget
 
-    // Worker-published checkpoint: the engine bytes and the number of
-    // emissions they account for. The mutex orders worker publication
-    // against producer recovery; `ckpt_consumed` additionally lets the
-    // producer trim the backup without taking the lock on the hot path
-    // (stored release AFTER the locked section, so a trim never outruns
-    // the bytes it relies on).
-    std::mutex ckpt_mu;
-    std::vector<std::uint8_t> ckpt_bytes;    // empty = no checkpoint yet
-    std::uint64_t ckpt_consumed_locked = 0;  // consumed count the bytes describe
-    std::uint64_t ckpt_emitted_locked = 0;   // emission count the bytes describe
+    // Checkpoint: the engine bytes and the event and emission counts they
+    // account for. Whichever thread owns the runner writes them: the live
+    // worker at its cadence, or the producer after a replay. The producer
+    // reads them only in supervise_dead_shard, after joining the worker
+    // and before respawning it, so the join and the thread start order
+    // every access. `ckpt_consumed` is the one field the producer reads
+    // while the worker runs, to trim the backup; it is stored (release)
+    // after the bytes, so a trim never outruns the checkpoint.
+    std::vector<std::uint8_t> ckpt_bytes;   // empty = no checkpoint yet
+    std::uint64_t ckpt_bytes_consumed = 0;  // consumed count the bytes describe
+    std::uint64_t ckpt_bytes_emitted = 0;   // emission count the bytes describe
     std::atomic<std::uint64_t> ckpt_consumed{0};
 
     // Events processed by the current incarnation's runner. Owned by the

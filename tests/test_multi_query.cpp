@@ -1,10 +1,8 @@
-// Unit + integration tests: multi-query runner and hierarchical
-// (composite-event) pipelines.
+// Unit + integration tests: the multi-query runner.
 #include <gtest/gtest.h>
 
 #include "engine_test_util.hpp"
 #include "runtime/multi_query.hpp"
-#include "runtime/pipeline.hpp"
 #include "stream/disorder.hpp"
 #include "workload/synthetic.hpp"
 
@@ -126,111 +124,6 @@ TEST_F(MultiQueryTest, ManyQueriesUnderDisorderAllExact) {
     const CompiledQuery q = compile_query(queries[i], wl.registry());
     EXPECT_EQ(sink->keys_for(ids[i]), oracle_keys(q, arrivals)) << queries[i];
   }
-}
-
-class PipelineTest : public ::testing::Test {
- protected:
-  PipelineTest() : reg_(make_abcd_registry()) {
-    composite_ = reg_.register_type("Pair", Schema({{"k", ValueType::kInt}}));
-  }
-  Event ev(const char* t, EventId id, Timestamp ts, std::int64_t k = 0) {
-    return make_event(reg_, t, id, ts, k);
-  }
-  TypeRegistry reg_;
-  TypeId composite_;
-};
-
-TEST_F(PipelineTest, TwoStageCompositionDetectsHigherLevelPattern) {
-  // Stage 1: (A,B) pairs keyed on k → composite Pair events.
-  // Stage 2: two Pairs with the same key within a larger window.
-  const CompiledQuery q1 =
-      compile_query("PATTERN SEQ(A a, B b) WHERE a.k == b.k WITHIN 50", reg_);
-  const CompiledQuery q2 =
-      compile_query("PATTERN SEQ(Pair p1, Pair p2) WHERE p1.k == p2.k WITHIN 500",
-                    reg_);
-
-  const auto final_sink = std::make_shared<CollectingSink>();
-  EngineOptions opt2;
-  opt2.slack = 100;  // covers upstream detection delay
-  const auto downstream = testutil::make_test_engine(EngineKind::kOoo, q2, final_sink, opt2);
-
-  const auto emitter = std::make_shared<CompositeEmitter>(
-      composite_, [](const Match& m) { return std::vector<Value>{m.events[0].attr(0)}; },
-      *downstream, /*first_id=*/1'000'000);
-
-  EngineOptions opt1;
-  opt1.slack = 60;
-  const auto upstream = testutil::make_test_engine(EngineKind::kOoo, q1, emitter, opt1);
-
-  // Two pairs for key 1 (the second pair's A arrives late), one for key 2.
-  upstream->on_event(ev("A", 0, 10, 1));
-  upstream->on_event(ev("B", 1, 20, 1));
-  upstream->on_event(ev("B", 2, 120, 1));
-  upstream->on_event(ev("A", 3, 110, 1));  // late
-  upstream->on_event(ev("A", 4, 200, 2));
-  upstream->on_event(ev("B", 5, 210, 2));
-  upstream->finish();
-  downstream->finish();
-
-  EXPECT_EQ(emitter->emitted(), 3u);
-  ASSERT_EQ(final_sink->size(), 1u);  // the two key-1 pairs compose
-  EXPECT_EQ(final_sink->matches()[0].events[0].attr(0).as_int(), 1);
-  EXPECT_LE(emitter->max_downstream_lateness(), opt2.slack);
-}
-
-TEST_F(PipelineTest, LateUpstreamMatchStillComposes) {
-  const CompiledQuery q1 =
-      compile_query("PATTERN SEQ(A a, B b) WHERE a.k == b.k WITHIN 50", reg_);
-  const CompiledQuery q2 =
-      compile_query("PATTERN SEQ(Pair p1, Pair p2) WHERE p1.k == p2.k WITHIN 500",
-                    reg_);
-  const auto final_sink = std::make_shared<CollectingSink>();
-  EngineOptions opt2;
-  opt2.slack = 100;
-  const auto downstream = testutil::make_test_engine(EngineKind::kOoo, q2, final_sink, opt2);
-  const auto emitter = std::make_shared<CompositeEmitter>(
-      composite_, [](const Match& m) { return std::vector<Value>{m.events[0].attr(0)}; },
-      *downstream, 1'000'000);
-  EngineOptions opt1;
-  opt1.slack = 100;
-  const auto upstream = testutil::make_test_engine(EngineKind::kOoo, q1, emitter, opt1);
-
-  // The EARLIER pair completes after the later pair (its B is late), so
-  // the composite events reach stage 2 out of order.
-  upstream->on_event(ev("A", 0, 10, 1));
-  upstream->on_event(ev("A", 1, 100, 1));
-  upstream->on_event(ev("B", 2, 110, 1));  // later pair completes first
-  upstream->on_event(ev("B", 3, 20, 1));   // late: earlier pair completes second
-  upstream->finish();
-  downstream->finish();
-
-  EXPECT_EQ(emitter->emitted(), 2u);
-  EXPECT_GT(emitter->max_downstream_lateness(), 0);
-  ASSERT_EQ(final_sink->size(), 1u);
-}
-
-TEST_F(PipelineTest, RefusesRetractions) {
-  const CompiledQuery q2 =
-      compile_query("PATTERN SEQ(Pair p1, Pair p2) WITHIN 500", reg_);
-  const auto final_sink = std::make_shared<CollectingSink>();
-  const auto downstream = testutil::make_test_engine(EngineKind::kOoo, q2, final_sink, {});
-  const auto emitter = std::make_shared<CompositeEmitter>(
-      composite_, [](const Match&) { return std::vector<Value>{Value(0)}; },
-      *downstream, 1);
-  Match m;
-  m.events.push_back(Event{});
-  EXPECT_THROW(emitter->on_retract(m), std::logic_error);
-}
-
-TEST_F(PipelineTest, ValidatesConstruction) {
-  const CompiledQuery q2 = compile_query("PATTERN SEQ(Pair p1, Pair p2) WITHIN 500", reg_);
-  const auto sink = std::make_shared<CollectingSink>();
-  const auto engine = testutil::make_test_engine(EngineKind::kOoo, q2, sink, {});
-  EXPECT_THROW(CompositeEmitter(kInvalidType, [](const Match&) {
-                 return std::vector<Value>{};
-               }, *engine, 1),
-               std::invalid_argument);
-  EXPECT_THROW(CompositeEmitter(composite_, nullptr, *engine, 1), std::invalid_argument);
 }
 
 }  // namespace

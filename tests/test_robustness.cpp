@@ -10,7 +10,6 @@
 
 #include "engine_test_util.hpp"
 #include "runtime/driver.hpp"
-#include "runtime/pipeline.hpp"
 
 namespace oosp {
 namespace {
@@ -393,36 +392,6 @@ TEST_F(RobustnessTest, KSlackBufferAdaptsItsReleaseThresholdToo) {
   const VerifyResult v = verify_against_oracle(q, arrivals, sink->matches());
   EXPECT_TRUE(v.exact()) << "missed=" << v.missed
                          << " false_positives=" << v.false_positives;
-}
-
-// --- retraction refusal across pipeline stages -------------------------
-
-TEST_F(RobustnessTest, UpstreamRetractionIsRefusedByCompositeEmitter) {
-  // An aggressive upstream emits optimistically and later retracts; the
-  // emitter must refuse loudly rather than leave the downstream engine
-  // holding a composite event that no longer exists.
-  const TypeId composite =
-      reg_.register_type("Pair", Schema({{"k", ValueType::kInt}}));
-  const CompiledQuery q1 =
-      compile_query("PATTERN SEQ(A a, !B b, C c) WITHIN 100", reg_);
-  const CompiledQuery q2 =
-      compile_query("PATTERN SEQ(Pair p1, Pair p2) WITHIN 500", reg_);
-
-  const auto final_sink = std::make_shared<CollectingSink>();
-  const auto downstream = testutil::make_test_engine(EngineKind::kOoo, q2, final_sink, {});
-  const auto emitter = std::make_shared<CompositeEmitter>(
-      composite, [](const Match& m) { return std::vector<Value>{m.events[0].attr(0)}; },
-      *downstream, 1'000'000);
-  EngineOptions opt;
-  opt.slack = 100;
-  opt.aggressive_negation = true;
-  const auto upstream = testutil::make_test_engine(EngineKind::kOoo, q1, emitter, opt);
-
-  upstream->on_event(ev("A", 0, 10));
-  upstream->on_event(ev("C", 1, 30));  // optimistic emission composes
-  EXPECT_EQ(emitter->emitted(), 1u);
-  // The late negative invalidates the already-composed match.
-  EXPECT_THROW(upstream->on_event(ev("B", 2, 20)), std::logic_error);
 }
 
 }  // namespace
