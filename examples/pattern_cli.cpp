@@ -1,11 +1,11 @@
 // pattern_cli — run any pattern query over any bundled workload from the
 // command line, with configurable disorder, engine and options.
 //
-// Examples:
-//   ./build/examples/pattern_cli --workload rfid --events 5000 \
+// Examples (one command each; indented lines continue it):
+//   ./build/examples/pattern_cli --workload rfid --events 5000
 //       --engine ooo --ooo-pct 15 --max-delay 120 --verify
-//   ./build/examples/pattern_cli --workload synthetic \
-//       --query "PATTERN SEQ(T0 a, T1 b) WHERE a.key == b.key WITHIN 300" \
+//   ./build/examples/pattern_cli --workload synthetic
+//       --query "PATTERN SEQ(T0 a, T1 b) WHERE a.key == b.key WITHIN 300"
 //       --engine kslack --print-matches 5
 //   ./build/examples/pattern_cli --workload intrusion --engine ooo --aggressive
 #include <iostream>

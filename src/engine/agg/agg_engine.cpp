@@ -59,7 +59,7 @@ AggEngine::KeyState& AggEngine::state_for(const Value& key) {
 
 void AggEngine::on_event(const Event& e) {
   if (e.type != type_) {
-    tick(e.ts);
+    on_tick(e.ts);
     return;
   }
   ++stats_.events_seen;
@@ -93,7 +93,7 @@ void AggEngine::on_event(const Event& e) {
   EngineObs::set(obs_.agg_footprint, static_cast<std::int64_t>(stats_.footprint()));
 }
 
-void AggEngine::tick(Timestamp ts) {
+void AggEngine::on_tick(Timestamp ts) {
   // Only progress counts: an event at or below the clock changes nothing,
   // so it can neither be late nor violate the contract.
   if (clock_.started() && ts <= clock_.now()) return;

@@ -40,12 +40,13 @@ class AggEngine final : public PatternEngine {
  public:
   explicit AggEngine(EngineContext ctx);
 
-  // An event of another type is a clock tick: the clock moves to its
-  // timestamp and due windows seal, but no counter moves and no
+  // An event of another type is a clock tick (on_tick): the clock moves to
+  // its timestamp and due windows seal, but no counter moves and no
   // admission gate applies. MultiQueryRunner delivers every event to an
   // AGG engine this way, so its windows seal while its own type pauses
   // instead of holding the release bound of every other query back.
   void on_event(const Event& e) override;
+  void on_tick(Timestamp ts) override;
   void finish() override;
 
   std::string name() const override {
@@ -101,7 +102,6 @@ class AggEngine final : public PatternEngine {
                    std::int64_t count) const;
   EventId synthetic_id(const Value& key, std::int64_t index) const;
 
-  void tick(Timestamp ts);
   void emit_window(const KeyState& ks, const Value& key, std::int64_t index, WindowState& w);
   // Emits and closes, in agenda order (end, index, key), every open
   // window that is final once the seal watermark reaches `horizon`.

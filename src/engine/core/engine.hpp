@@ -164,6 +164,11 @@ class PatternEngine {
 
   virtual void finish() {}
 
+  // Stream-time progress to `ts` without an event: an engine whose results
+  // wait on the clock (open AGG windows, held negation candidates) seals
+  // what that makes final. No counter moves. The default ignores it.
+  virtual void on_tick(Timestamp ts) { (void)ts; }
+
   virtual std::string name() const = 0;
 
   // Crash-recovery serialization (runtime/checkpoint.hpp). snapshot()

@@ -29,6 +29,7 @@ class OooEngine final : public PatternEngine {
 
   void on_event(const Event& e) override { core_.on_event(e); }
   void on_batch(std::span<const Event* const> batch) override { core_.on_batch(batch); }
+  void on_tick(Timestamp ts) override { core_.on_tick(ts); }
   void finish() override { core_.finish(); }
   std::string name() const override {
     return options_.aggressive_negation ? "ooo-aggressive" : "ooo-native";

@@ -65,7 +65,7 @@ void SscCore::add_member(std::uint32_t mi, SscMember sm) {
 bool SscCore::same_skeleton(const CompiledQuery& a, const CompiledQuery& b) const {
   // A member with negated steps seals its own candidates: it constructs
   // alone.
-  if (a.num_positive() != a.num_steps() || b.num_positive() != b.num_steps()) return false;
+  if (a.has_negation() || b.has_negation()) return false;
   if (a.num_steps() != b.num_steps() || a.window() != b.window()) return false;
   for (std::size_t s = 0; s < a.num_steps(); ++s)
     if (a.step(s).type != b.step(s).type) return false;
@@ -339,6 +339,12 @@ void SscCore::on_batch(std::span<const Event* const> batch) {
   shared_stats_.note_footprint(shared_stats_.footprint() + admission_.quarantine_size());
   EngineObs::set(obs_.footprint, static_cast<std::int64_t>(shared_stats_.footprint()));
   EngineObs::set(obs_.effective_slack, clock_.slack());
+}
+
+void SscCore::on_tick(Timestamp ts) {
+  clock_.advance_to(ts);
+  seal_watermark_ = std::max(seal_watermark_, clock_.seal_point());
+  process_pending_up_to(seal_watermark_);
 }
 
 template <bool kShared>

@@ -121,6 +121,8 @@ class SscCore {
 
   void on_event(const Event& e);
   void on_batch(std::span<const Event* const> batch);
+  // PatternEngine::on_tick: held matches the new clock seals resolve now.
+  void on_tick(Timestamp ts);
   void finish();
 
   // Events parked by LatePolicy::kQuarantine, drained once for the core.

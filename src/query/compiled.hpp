@@ -132,6 +132,7 @@ class CompiledQuery {
   // Pattern indices of positive steps, in pattern order.
   const std::vector<std::size_t>& positive_steps() const noexcept { return positive_; }
   std::size_t num_positive() const noexcept { return positive_.size(); }
+  bool has_negation() const noexcept { return positive_.size() != steps_.size(); }
 
   // Pattern index of the last positive step (the construction trigger).
   std::size_t trigger_step() const noexcept { return positive_.back(); }

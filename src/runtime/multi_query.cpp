@@ -6,6 +6,11 @@
 #include "runtime/checkpoint.hpp"
 
 namespace oosp {
+namespace {
+// Negation sealing and AGG window sealing both need stream-time progress
+// from every event, not just the query's own types.
+bool takes_ticks(const CompiledQuery& q) { return q.is_agg() || q.has_negation(); }
+}  // namespace
 
 MultiQueryRunner::MultiQueryRunner(const TypeRegistry& registry,
                                    std::shared_ptr<TaggedSink> sink,
@@ -31,17 +36,8 @@ QueryId MultiQueryRunner::add_query(std::shared_ptr<const CompiledQuery> query,
   // Engines validate this at construction; with lazy materialization the
   // caller should still hear about it at registration time.
   OOSP_REQUIRE(options.slack >= 0, "slack must be non-negative");
-  const QueryId id = registrations_.size();
-  Registration reg;
-  reg.query = std::move(query);
-  reg.kind = kind;
-  reg.options = std::move(options);
-  // Negation sealing and AGG window sealing both need stream-time
-  // progress from every event, not just the query's own types.
-  reg.takes_ticks = reg.query->is_agg() ||
-                    reg.query->positive_steps().size() != reg.query->num_steps();
-  registrations_.push_back(std::move(reg));
-  return id;
+  registrations_.push_back(ShardQuerySpec{std::move(query), kind, std::move(options)});
+  return registrations_.size() - 1;
 }
 
 void MultiQueryRunner::ensure_built() const {
@@ -50,11 +46,7 @@ void MultiQueryRunner::ensure_built() const {
 
 void MultiQueryRunner::build() const {
   built_ = true;
-  std::vector<ScanPlanEntry> plan_entries;
-  plan_entries.reserve(registrations_.size());
-  for (const Registration& reg : registrations_)
-    plan_entries.push_back(ScanPlanEntry{reg.query, reg.kind, reg.options});
-  const ScanPlan plan = plan_shared_scan(plan_entries, share_scans_);
+  const ScanPlan plan = plan_shared_scan(registrations_, share_scans_);
 
   exclusion_reasons_.assign(registrations_.size(), std::string{});
   entries_.clear();
@@ -79,13 +71,12 @@ void MultiQueryRunner::build() const {
   }
   clock_subscribers_.clear();
   for (const QueryId id : plan.solo) {
-    const Registration& reg = registrations_[id];
+    const ShardQuerySpec& reg = registrations_[id];
     entries_[id].engine = make_engine(
         reg.kind, EngineContext{reg.query, std::make_shared<TagSink>(sink_, id),
                                 reg.options});
-    exclusion_reasons_[id] =
-        shared_scan_exclusion(ScanPlanEntry{reg.query, reg.kind, reg.options});
-    if (reg.takes_ticks) clock_subscribers_.push_back(id);
+    exclusion_reasons_[id] = shared_scan_exclusion(reg);
+    if (takes_ticks(*reg.query)) clock_subscribers_.push_back(id);
   }
   rebuild_deliveries();
   if (!registrations_.empty()) {
@@ -105,7 +96,7 @@ void MultiQueryRunner::rebuild_deliveries() const {
     for (QueryId id = 0; id < registrations_.size(); ++id) {
       if (entries_[id].engine == nullptr) continue;  // delivered via its group
       const bool relevant = registrations_[id].query->relevant(t);
-      if (relevant || registrations_[id].takes_ticks)
+      if (relevant || takes_ticks(*registrations_[id].query))
         deliveries_[t].push_back(Delivery{id, relevant});
     }
     for (std::size_t g = 0; g < groups_.size(); ++g) {
@@ -172,6 +163,12 @@ void MultiQueryRunner::on_batch(std::span<const Event> batch) {
     }
     batch_scratch_[slot].clear();
   }
+}
+
+void MultiQueryRunner::on_tick(Timestamp ts) {
+  ensure_built();
+  clock_ = std::max(clock_, ts);
+  for (const QueryId id : clock_subscribers_) entries_[id].engine->on_tick(ts);
 }
 
 void MultiQueryRunner::finish() {

@@ -40,7 +40,6 @@
 // core the sharded runtime replicates — see runtime/sharded.hpp.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <string>
@@ -92,11 +91,11 @@ class MultiQueryRunner {
 
   void finish();
 
-  // Clock progress without an event: advances the stream time the
-  // release bound is derived from, and nothing else — no engine sees the
-  // tick, no counter moves. The sharded runtime ticks a shard that
-  // receives no events of its own.
-  void on_tick(Timestamp ts) noexcept { clock_ = std::max(clock_, ts); }
+  // Clock progress without an event: advances the stream time the release
+  // bound is derived from and hands it to the engines that take every
+  // event as a tick (AGG, negated queries; PatternEngine::on_tick). The
+  // sharded runtime ticks a shard whose routed events trail the stream.
+  void on_tick(Timestamp ts);
 
   // The largest seal_ts at or below which no engine of this runner will
   // emit another match or retraction on an in-contract stream: the
@@ -152,13 +151,6 @@ class MultiQueryRunner {
     QueryId id_;
   };
 
-  struct Registration {
-    std::shared_ptr<const CompiledQuery> query;
-    EngineKind kind = EngineKind::kOoo;
-    EngineOptions options;
-    bool takes_ticks = false;  // negated steps or AGG: every event is a clock tick
-  };
-
   // Materialized per-query execution state. Exactly one of {engine,
   // group} applies: solo queries own an engine; grouped queries point at
   // their group and member index.
@@ -187,7 +179,7 @@ class MultiQueryRunner {
   const TypeRegistry& registry_;
   std::shared_ptr<TaggedSink> sink_;
   bool share_scans_ = true;
-  std::vector<Registration> registrations_;
+  std::vector<ShardQuerySpec> registrations_;
 
   // Lazily materialized execution plan (const-correct lazy init: the
   // accessors that trigger it are logically const).
@@ -199,9 +191,9 @@ class MultiQueryRunner {
   // each exactly once (relevant queries/groups + clock-tick negation
   // holders).
   mutable std::vector<std::vector<Delivery>> deliveries_;
-  // Fallback for type ids beyond the table (registered after prepare()):
-  // such a type is relevant to no registered query, so only negation
-  // holders need it, as a tick. Negated queries never group.
+  // Solo engines that take every event as a tick (AGG and negated
+  // queries, which never group): on_tick's audience, and the only one for
+  // type ids beyond the table (registered after prepare()).
   mutable std::vector<QueryId> clock_subscribers_;
   // on_batch scratch: per-slot gathered sub-batches (cleared after each
   // dispatch; capacity persists across batches).

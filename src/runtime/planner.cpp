@@ -23,13 +23,13 @@ bool options_group_equal(const EngineOptions& a, const EngineOptions& b) {
 
 // The SSC core's partitioning decision for a solo query, so a group
 // shards by key exactly when each member's own engine would have.
-bool effectively_partitioned(const ScanPlanEntry& e) {
+bool effectively_partitioned(const ShardQuerySpec& e) {
   return e.options.partition_by_key && e.query->keys_every_step();
 }
 
 }  // namespace
 
-std::string shared_scan_exclusion(const ScanPlanEntry& e) {
+std::string shared_scan_exclusion(const ShardQuerySpec& e) {
   OOSP_REQUIRE(e.query != nullptr, "planner: null query");
   const CompiledQuery& q = *e.query;
   if (q.is_agg())
@@ -38,7 +38,7 @@ std::string shared_scan_exclusion(const ScanPlanEntry& e) {
     return "engine kind is not the native OOO engine";
   // A group sees only its members' types; sealing a negated query needs
   // every event of the stream as a clock tick.
-  if (q.positive_steps().size() != q.num_steps())
+  if (q.has_negation())
     return "a negated query needs every event as a clock tick";
   // The group clock observes the UNION of member types, so it can run
   // ahead of what a member's own engine would have seen — harmless under
@@ -59,10 +59,10 @@ std::string shared_scan_exclusion(const ScanPlanEntry& e) {
   return {};
 }
 
-ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) {
+ScanPlan plan_shared_scan(std::span<const ShardQuerySpec> entries, bool enabled) {
   struct Building {
     ScanGroupPlan plan;
-    const ScanPlanEntry* leader = nullptr;
+    const ShardQuerySpec* leader = nullptr;
     TypeId first_type = kInvalidType;  // every member's first positive type
     bool partitioned = false;          // every member keys uniformly per type
     // Indexed by TypeId; the equi-join slot for that type when
@@ -86,7 +86,7 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
   };
 
   for (QueryId id = 0; id < entries.size(); ++id) {
-    const ScanPlanEntry& e = entries[id];
+    const ShardQuerySpec& e = entries[id];
     if (!enabled || !shared_scan_exclusion(e).empty()) {
       out.solo.push_back(id);
       continue;

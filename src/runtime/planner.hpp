@@ -34,9 +34,9 @@
 
 namespace oosp {
 
-// One registered query as the planner sees it. QueryId is the index of
-// the entry in the span handed to plan_shared_scan.
-struct ScanPlanEntry {
+// One registered query, compiled once and shared read-only by every engine
+// that runs it (one per shard). QueryId is its index in a query set.
+struct ShardQuerySpec {
   std::shared_ptr<const CompiledQuery> query;
   EngineKind kind = EngineKind::kOoo;
   EngineOptions options;
@@ -57,10 +57,10 @@ struct ScanPlan {
 // Why `e` can never join a shared-scan group; empty when it is eligible.
 // Surfaced through docs/diagnostics so "my query didn't group" is
 // answerable.
-std::string shared_scan_exclusion(const ScanPlanEntry& e);
+std::string shared_scan_exclusion(const ShardQuerySpec& e);
 
 // Buckets `entries` into shared-scan groups. With `enabled` false (or
 // for ineligible/singleton entries) everything lands in `solo`.
-ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled);
+ScanPlan plan_shared_scan(std::span<const ShardQuerySpec> entries, bool enabled);
 
 }  // namespace oosp

@@ -61,10 +61,11 @@
 // oosp_session_late_deliveries_total — so order is canonical exactly
 // when that counter is 0. Engines without a slack contract (kInOrder,
 // kNfa) finalize nothing before finish(), so a session running one
-// delivers everything there. AGG windows seal on every event their shard
-// receives, so a query whose own events pause holds nothing back; on N
-// shards, a shard that receives no event at all keeps its open windows —
-// and the release bound — until its next event or finish().
+// delivers everything there. Open AGG windows and held negation
+// candidates seal on every event or clock tick their shard receives, and
+// a shard is ticked while it receives no events, so an AGG or negated
+// query whose own events pause holds nothing back at any shard count;
+// a K-slack query's reorder buffer still does, until its types resume.
 // ## Observability
 //
 // Every Session owns a MetricsRegistry (disable with `.metrics(false)`)
@@ -176,8 +177,8 @@ class SessionConfig {
   // backup replayed, so the session's output stays exactly-once and
   // bit-identical to a fault-free run. Inactive when the session falls
   // back to single-shard execution (no worker threads to supervise).
-  SessionConfig& checkpoint_every(std::size_t consumed_events) {
-    recovery_.checkpoint_every = consumed_events;
+  SessionConfig& checkpoint_every(std::size_t consumed_entries) {
+    recovery_.checkpoint_every = consumed_entries;
     return *this;
   }
   SessionConfig& max_restarts(std::size_t per_shard_budget) {

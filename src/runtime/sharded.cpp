@@ -9,6 +9,13 @@
 #include "runtime/checkpoint.hpp"
 
 namespace oosp {
+namespace {
+bool is_tick(const Event& e) noexcept { return e.type == kTickType; }
+// The events among ring entries; ticks are not counted.
+std::uint64_t events_in(std::span<const Event* const> entries) {
+  return std::count_if(entries.begin(), entries.end(), [](const Event* e) { return !is_tick(*e); });
+}
+}  // namespace
 
 std::string_view to_string(RestartPolicy p) noexcept {
   switch (p) {
@@ -121,6 +128,7 @@ ShardedRunner::ShardedRunner(const TypeRegistry& registry,
   if (inline_) return;
   stages_.resize(num_shards);
   staged_.reserve(num_shards);
+  ticks_.reserve(kTickSlots);
   // Start the workers only after every runner is fully built; the thread
   // start is the publication point for the engine state they consume.
   for (auto& shard : shards_)
@@ -145,22 +153,18 @@ std::unique_ptr<MultiQueryRunner> ShardedRunner::make_runner(const Shard& shard)
 
 void ShardedRunner::worker_loop(Shard& shard) {
   try {
-    // Events run where they lie in the ring: peek() exposes a run of
+    // Entries run where they lie in the ring: peek() exposes a run of
     // filled slots, the worker processes each in place, and only then
     // releases the run. The producer's next lap copy-assigns into slots
     // whose attrs kept their capacity, so no per-event heap block is
     // allocated on one thread and freed on the other. Processing stays
-    // one event at a time, so engine-visible order, kill-hook points, and
+    // one entry at a time, so engine-visible order, kill-hook points, and
     // checkpoint cadence are identical to the per-event loop (run
     // boundaries are timing-dependent and must not be observable).
     constexpr std::size_t kWorkerBatch = 256;
     SpinBackoff backoff;
     Timestamp consumed_hwm = shard.consumed_clock.load(std::memory_order_relaxed);
-    Timestamp ticked = kMinTimestamp;
     for (;;) {
-      // The tick is read before the peek: an empty ring after it means
-      // every event routed before the tick has been processed.
-      const Timestamp tick = shard.tick.load(std::memory_order_acquire);
       // Occupancy is sampled BEFORE the peek: a genuine size_approx()
       // reading is always within [0, capacity]; it includes the run the
       // worker is about to process, whose slots stay taken until release.
@@ -197,11 +201,6 @@ void ShardedRunner::worker_loop(Shard& shard) {
         publish(shard);
         continue;
       }
-      if (tick > ticked) {
-        ticked = tick;
-        shard.runner->on_tick(tick);
-        publish(shard);
-      }
       if (shard.stop.load(std::memory_order_acquire) && shard.queue->empty()) break;
       backoff.pause();
     }
@@ -220,6 +219,10 @@ void ShardedRunner::worker_loop(Shard& shard) {
 }
 
 void ShardedRunner::process(Shard& shard, const Event& e) {
+  if (is_tick(e)) {
+    shard.runner->on_tick(e.ts);
+    return;
+  }
   if (recovery_.kill_hook && recovery_.kill_hook(e)) throw WorkerKilled(e.id);
   if (recovery_.delay_hook) recovery_.delay_hook(e);
   shard.runner->on_event(e);
@@ -291,18 +294,6 @@ void ShardedRunner::deliver(std::size_t events) {
   merger_.release(sink_.get(), inline_ ? kBurstPerEvent * events : OrderedMerger::kNoHold);
 }
 
-void ShardedRunner::send_ticks() {
-  const Timestamp now = global_clock_.load(std::memory_order_relaxed);
-  if (now == kMinTimestamp || now < next_tick_sweep_) return;
-  next_tick_sweep_ = now > kMaxTimestamp - tick_gap_ ? kMaxTimestamp : now + tick_gap_;
-  const Timestamp stale = now < kMinTimestamp + tick_gap_ ? kMinTimestamp : now - tick_gap_;
-  for (auto& shard : shards_) {
-    if (shard->dropped || shard->routed_clock >= stale) continue;
-    shard->tick.store(now, std::memory_order_release);
-    shard->routed_clock = now;
-  }
-}
-
 void ShardedRunner::checkpoint_shard(Shard& shard) {
   // Runs on whichever thread currently owns the shard's runner: the live
   // worker at its cadence, or the producer right after a replay.
@@ -349,7 +340,8 @@ void ShardedRunner::drop_shard(Shard& shard) {
   // counts those and never touches the ring again). What the merger
   // received stays; the shard no longer holds the bound back.
   trim_backup(shard);
-  count_dropped(shard.backup.size());
+  count_dropped(std::count_if(shard.backup.begin(), shard.backup.end(),
+                              [](const Event& e) { return !is_tick(e); }));
   shard.backup.clear();
   shard.dead.store(false, std::memory_order_release);
   shard.error = nullptr;
@@ -409,11 +401,11 @@ bool ShardedRunner::supervise_dead_shard(Shard& shard) {
         // deterministically crashes processing crashes the replay too —
         // each attempt burns a restart until the budget is spent.
         // Transient faults (WorkerKillFault fires once per victim) kill at
-        // most one attempt and then converge.
+        // most one attempt and then converge. Ticks replay too, uncounted.
         process(shard, shard.backup[i]);
-        ++replayed;
+        if (!is_tick(shard.backup[i])) ++replayed;
       }
-      shard.consumed = ckpt_consumed + replayed;
+      shard.consumed = ckpt_consumed + (shard.backup.size() - skip);
       replayed_events_ += replayed;
       if (replayed_obs_) replayed_obs_->inc(replayed);
       // Post-recovery checkpoint: retires the replayed suffix from the
@@ -454,6 +446,7 @@ void ShardedRunner::rethrow_worker_error(const Shard& shard) {
 }
 
 void ShardedRunner::account_shed(Shard& shard, const Event& e, bool forced) {
+  if (is_tick(e)) return;  // the next sweep resends the progress
   ++degraded_.shed_events;
   if (e.type < queries_by_type_.size())
     for (const QueryId q : queries_by_type_[e.type]) ++shed_by_query_[q];
@@ -480,12 +473,13 @@ bool ShardedRunner::wait_for_room(Shard& shard,
 
 void ShardedRunner::on_batch(std::span<const Event> batch) {
   OOSP_REQUIRE(!finished_, "push after finish");
+  OOSP_REQUIRE(std::none_of(batch.begin(), batch.end(), is_tick),
+               "event type id kTickType is reserved for clock ticks");
   merger_.release_held(sink_.get());
   if (inline_) {
     shards_.front()->runner->on_batch(batch);
   } else {
     route(batch);
-    send_ticks();
   }
   deliver(batch.size());
 }
@@ -498,16 +492,20 @@ void ShardedRunner::route(std::span<const Event> batch) {
   // pointers into the previous caller's batch — behind, and those must
   // never reach a ring. Stages keep their capacity, so once they have
   // grown to the largest batch, staging allocates nothing.
-  for (const std::size_t i : staged_) stages_[i].clear();
-  staged_.clear();
+  const auto clear_stages = [this] {
+    for (const std::size_t i : staged_) stages_[i].clear();
+    staged_.clear();
+    ticks_.clear();
+  };
+  clear_stages();
   const auto stage = [this](std::size_t i, const Event& e) {
     if (stages_[i].empty()) staged_.push_back(i);
     stages_[i].push_back(&e);
     shards_[i]->routed_clock = std::max(shards_[i]->routed_clock, e.ts);
   };
   for (const Event& e : batch) {
-    if (e.ts > global_clock_.load(std::memory_order_relaxed))
-      global_clock_.store(e.ts, std::memory_order_relaxed);
+    Timestamp now = global_clock_.load(std::memory_order_relaxed);
+    if (e.ts > now) global_clock_.store(now = e.ts, std::memory_order_relaxed);
     const std::size_t slot = partition_.slot_for(e.type);
     if (slot == PartitionSpec::kTickOnly || slot >= e.attrs.size()) {
       // Relevant to no query (pure clock progress) — every shard needs it.
@@ -519,13 +517,30 @@ void ShardedRunner::route(std::span<const Event> batch) {
     } else {
       stage(hasher_(e.attrs[slot]) % shards_.size(), e);
     }
+    // Once per tick_gap_ of stream time, a tick for each shard that trails
+    // the clock by more: per event, so the arrivals alone place it.
+    if (now < next_tick_sweep_) continue;
+    next_tick_sweep_ = now > kMaxTimestamp - tick_gap_ ? kMaxTimestamp : now + tick_gap_;
+    const Timestamp stale = now < kMinTimestamp + tick_gap_ ? kMinTimestamp : now - tick_gap_;
+    const Event* tick = nullptr;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      if (shards_[i]->dropped || shards_[i]->routed_clock >= stale) continue;
+      if (tick == nullptr) {
+        if (ticks_.size() == kTickSlots) {
+          for (const std::size_t j : staged_) push_stage(*shards_[j], stages_[j]);
+          clear_stages();
+        }
+        tick = &ticks_.emplace_back(Event{.type = kTickType, .ts = now});
+      }
+      stage(i, *tick);
+    }
   }
   for (const std::size_t i : staged_) push_stage(*shards_[i], stages_[i]);
 }
 
 void ShardedRunner::push_stage(Shard& shard, std::vector<const Event*>& stage) {
   if (shard.dropped) {
-    count_dropped(stage.size());
+    count_dropped(events_in(stage));
     return;
   }
   if (shard.dead.load(std::memory_order_acquire)) {
@@ -533,7 +548,7 @@ void ShardedRunner::push_stage(Shard& shard, std::vector<const Event*>& stage) {
     // its events would never be consumed anyway.
     if (!recovery_.enabled()) rethrow_worker_error(shard);
     if (!supervise_dead_shard(shard)) {
-      count_dropped(stage.size());
+      count_dropped(events_in(stage));
       return;
     }
   }
@@ -543,11 +558,12 @@ void ShardedRunner::push_stage(Shard& shard, std::vector<const Event*>& stage) {
     // checkpoint), so exactly-once delivery of admitted events is
     // untouched by shedding. Each event's lateness is measured against
     // the clock high-water mark routing already advanced; pressure is
-    // graded once per stage.
+    // graded once per stage. Ticks are neither sampled nor shed.
     OverloadMonitor& mon = *shard.monitor;
     const Timestamp clock = global_clock_.load(std::memory_order_relaxed);
     const auto lateness = [clock](const Event* e) { return clock > e->ts ? clock - e->ts : 0; };
-    for (const Event* e : stage) mon.observe(lateness(e));
+    for (const Event* e : stage)
+      if (!is_tick(*e)) mon.observe(lateness(e));
     const Timestamp consumed = shard.consumed_clock.load(std::memory_order_relaxed);
     const Pressure p =
         mon.assess(shard.queue->size_approx(),
@@ -557,7 +573,7 @@ void ShardedRunner::push_stage(Shard& shard, std::vector<const Event*>& stage) {
     // fresh events that still have sealed results ahead of them.
     if (overload_.policy == OverloadPolicy::kShedByLateness)
       std::erase_if(stage, [&](const Event* e) {
-        if (!mon.shed_late(lateness(e), p)) return false;
+        if (is_tick(*e) || !mon.shed_late(lateness(e), p)) return false;
         account_shed(shard, *e, false);
         return true;
       });
@@ -584,7 +600,7 @@ void ShardedRunner::push_stage(Shard& shard, std::vector<const Event*>& stage) {
       // Full, and nobody will ever drain it.
       if (!recovery_.enabled()) rethrow_worker_error(shard);
       if (!supervise_dead_shard(shard)) {
-        count_dropped(rest.size());
+        count_dropped(events_in(rest));
         return;
       }
       continue;  // into the respawned worker's empty ring

@@ -47,9 +47,10 @@
 // Idle shards: a shard that receives no events would hold the minimum
 // bound back forever, so the producer sends a clock TICK to any shard
 // whose newest routed timestamp trails the global clock by more than the
-// slack. The worker applies it once its ring is empty, and it only
-// advances the shard runner's clock: no engine sees it, no counter
-// moves, and it is neither backed up nor replayed.
+// slack: a ring entry of type kTickType, right behind the event whose
+// arrival made it due. The runner hands it to the engines that wait on
+// the clock (MultiQueryRunner::on_tick); it is backed up and replayed
+// like an event, but no hook sees it and no counter moves.
 #pragma once
 
 #include <atomic>
@@ -73,13 +74,9 @@
 
 namespace oosp {
 
-// One query as registered with the sharded runtime: compiled once,
-// shared read-only by every shard's engine instance.
-struct ShardQuerySpec {
-  std::shared_ptr<const CompiledQuery> query;
-  EngineKind kind = EngineKind::kOoo;
-  EngineOptions options;
-};
+// The type id of a clock tick in a shard's ring. Reserved: a pushed event
+// carrying it is refused (ShardedRunner::on_batch).
+inline constexpr TypeId kTickType = kInvalidType - 1;
 
 // Per-event-type routing decision for a query set. Built once up front;
 // construction FAILS (returns nullopt with a reason) when the query set
@@ -128,12 +125,12 @@ std::string_view to_string(RestartPolicy p) noexcept;
 // disables supervision entirely: a dead worker fails the session fast,
 // exactly as before this subsystem existed.
 struct RecoveryConfig {
-  // Per-shard checkpoint cadence in CONSUMED events. Each checkpoint
-  // serializes the shard's full engine state (runtime/checkpoint.hpp) and
-  // records how many results the shard had emitted by then; the
-  // upstream-backup ring is trimmed to the checkpoint, so this knob
-  // bounds both replay work and backup memory. Delivery never waits for
-  // a checkpoint. 0 = recovery off.
+  // Per-shard checkpoint cadence in CONSUMED ring entries, ticks included
+  // (the count indexes the backup). Each checkpoint serializes the shard's
+  // full engine state (runtime/checkpoint.hpp) and records how many
+  // results the shard had emitted by then; the upstream-backup ring is
+  // trimmed to the checkpoint, so this knob bounds both replay work and
+  // backup memory. Delivery never waits for a checkpoint. 0 = off.
   std::size_t checkpoint_every = 0;
   // Restart budget per shard (lifetime, not consecutive).
   std::size_t max_restarts = 3;
@@ -142,10 +139,10 @@ struct RecoveryConfig {
   std::chrono::milliseconds backoff{5};
   std::chrono::milliseconds max_backoff{1000};
   RestartPolicy on_exhausted = RestartPolicy::kFail;
-  // Fault injection: consulted immediately before each event is
-  // processed — by the live worker loop AND by recovery replay, which
-  // runs the same processing path; true = throw WorkerKilled there. A
-  // deterministic poison event therefore keeps killing until the restart
+  // Fault injection: consulted immediately before each event (never a
+  // tick) is processed — by the live worker loop AND by recovery replay,
+  // which runs the same processing path; true = throw WorkerKilled there.
+  // A deterministic poison event therefore keeps killing until the restart
   // budget is spent, while transient faults (stream/faults.hpp
   // WorkerKillFault::hook() fires once per victim) kill at most one
   // attempt each and recovery converges.
@@ -190,12 +187,13 @@ class ShardedRunner {
   ShardedRunner(const ShardedRunner&) = delete;
   ShardedRunner& operator=(const ShardedRunner&) = delete;
 
-  // Producer side; single-threaded. Partitions the slice into per-shard
-  // stages of pointers into `batch` and copies each stage straight into
-  // its shard's ring slots with bulk copy-in transactions (one
-  // acquire/release pair per chunk, not per event). Slots keep their
-  // attrs capacity from the previous lap, so the hand-off allocates
-  // nothing. For each stage, in this order:
+  // Producer side; single-threaded. Refuses a slice holding an event of
+  // type kTickType (std::invalid_argument). Partitions the slice into
+  // per-shard stages of pointers into `batch`, each event followed by the
+  // ticks it makes due, and copies each stage straight into its shard's
+  // ring slots with bulk copy-in transactions (one acquire/release pair
+  // per chunk). Slots keep their attrs capacity from the previous lap, so
+  // the hand-off allocates nothing. For each stage, in this order:
   //   * a dropped shard's events are counted as dropped;
   //   * a dead worker (its engine threw) rethrows its exception, even
   //     with ring room to spare, or is supervised when recovery is on;
@@ -205,9 +203,10 @@ class ShardedRunner {
   //     backpressure preserves arrival order;
   //   * with recovery on, each copied chunk joins the shard's upstream
   //     backup in the producer step that copied it in.
-  // Workers process per event, so engine-visible order, kill-hook points
-  // and checkpoint cadence do not depend on how the input was batched. At
-  // one shard the slice goes straight to the inline runner's on_batch.
+  // A tick takes this path too, but is never sampled, shed by lateness or
+  // counted. Workers process per entry, so engine-visible order, kill-hook
+  // points and checkpoint cadence do not depend on how the input was
+  // batched. At one shard the slice goes to the inline runner's on_batch.
   // Before returning, hands the sink every result that has become final.
   void on_batch(std::span<const Event> batch);
   void on_event(const Event& e) { on_batch({&e, 1}); }
@@ -314,10 +313,6 @@ class ShardedRunner {
     // received. A full ring never blocks the worker: it keeps the batch
     // and the old bound and retries after its next run.
     std::unique_ptr<SpscQueue<std::vector<Emission>>> handoff;
-    // Clock tick from the producer (stored release after its last push
-    // here). The worker applies it only once its ring is empty, so every
-    // event routed before the tick has been processed first.
-    std::atomic<Timestamp> tick{kMinTimestamp};
     // The worker writes the next three after every run, and the producer
     // writes routed_clock on every push. Each group starts a cache line of
     // its own, so neither side's writes evict the fields the other reads
@@ -336,19 +331,19 @@ class ShardedRunner {
 
     // ---- Supervision state; all of it idle when recovery is disabled.
     //
-    // Producer-owned upstream backup: every event pushed to this shard
-    // whose processing is not yet covered by a checkpoint. Entry i (since
-    // `trimmed` were popped) is the (trimmed+i)-th event ever pushed;
-    // trimming follows the worker's published checkpoint watermark. It
-    // holds at most ring capacity + checkpoint_every events: the
-    // unreleased ring slots plus the events consumed since the last
-    // checkpoint.
+    // Producer-owned upstream backup: every ring entry (event or tick)
+    // pushed to this shard whose processing is not yet covered by a
+    // checkpoint. Entry i (since `trimmed` were popped) is the
+    // (trimmed+i)-th entry ever pushed; trimming follows the worker's
+    // published checkpoint watermark. It holds at most ring capacity +
+    // checkpoint_every entries: the unreleased ring slots plus the entries
+    // consumed since the last checkpoint.
     std::deque<Event> backup;
     std::uint64_t trimmed = 0;  // backup entries retired to a checkpoint
     std::size_t restarts = 0;   // lifetime restart count (producer-owned)
     bool dropped = false;       // kDegradeDropShard spent the budget
 
-    // Checkpoint: the engine bytes and the event and emission counts they
+    // Checkpoint: the engine bytes and the entry and emission counts they
     // account for. Whichever thread owns the runner writes them: the live
     // worker at its cadence, or the producer after a replay. The producer
     // reads them only in supervise_dead_shard, after joining the worker
@@ -361,18 +356,18 @@ class ShardedRunner {
     std::uint64_t ckpt_bytes_emitted = 0;   // emission count the bytes describe
     std::atomic<std::uint64_t> ckpt_consumed{0};
 
-    // Events processed by the current incarnation's runner. Owned by the
-    // live worker; ownership passes to the producer at join() and back at
-    // respawn.
+    // Ring entries (events and ticks) processed by the current
+    // incarnation's runner. Owned by the live worker; ownership passes to
+    // the producer at join() and back at respawn.
     std::uint64_t consumed = 0;
   };
 
-  // Runs each event where it lies in the ring, then releases its slots
+  // Runs each entry where it lies in the ring, then releases its slots
   // and publishes the run's results.
   void worker_loop(Shard& shard);
-  // One worker step: the kill hook, the delay hook, then the runner's
-  // on_event. The live loop and recovery replay both take it, so replay
-  // runs the live processing path by construction.
+  // One worker step: a tick goes to the runner's on_tick, an event to the
+  // kill hook, the delay hook, then on_event. The live loop and recovery
+  // replay both take it, so replay runs the live path by construction.
   void process(Shard& shard, const Event& e);
   // Hands the outbox's emissions and the runner's release bound to the
   // producer (worker thread; see Shard::handoff).
@@ -390,11 +385,8 @@ class ShardedRunner {
   // collect() + release every final result to the sink at the end of a
   // call that ingested `events` events.
   void deliver(std::size_t events);
-  // Clock ticks to shards whose newest routed timestamp trails the
-  // global clock by more than tick_gap_.
-  void send_ticks();
-  // on_batch's routing: stages the slice per shard (only the shards it
-  // touches), then pushes each stage.
+  // on_batch's routing: stages the slice and the ticks it makes due per
+  // shard (only the shards it touches), then pushes each stage.
   void route(std::span<const Event> batch);
   // The one producer path into a shard's ring, in on_batch's order:
   // dropped shard, dead worker, overload admission, bulk copy-in with
@@ -465,6 +457,10 @@ class ShardedRunner {
   // sweeps the shards once per tick_gap_ of stream time.
   Timestamp tick_gap_ = 1;
   Timestamp next_tick_sweep_ = kMinTimestamp;
+  // route() scratch: the ticks staged this call, reserved once; route
+  // pushes its stages before a new tick would reallocate under them.
+  static constexpr std::size_t kTickSlots = 64;
+  std::vector<Event> ticks_;
   // Runner-level observability slots (null when metrics are disabled).
   Counter* push_retries_ = nullptr;     // producer spins on a full queue
   Counter* worker_failures_ = nullptr;  // workers killed by an exception

@@ -203,8 +203,28 @@ TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
   const auto ordered = wl.generate();
   DisorderInjector inj(LatencyModel::uniform(rng.uniform_int(20, 300)),
                        rng.uniform(0.05, 0.5), seed + 11);
-  const auto arrivals = inj.deliver(ordered);
+  auto arrivals = inj.deliver(ordered);
   const Timestamp slack = inj.slack_bound();
+
+  // Half the sharded points silence one key, and every key on its shard,
+  // for three slacks of stream time: their events move to a key of
+  // another shard, so the shard idles and only ticks seal what it holds.
+  // The draws come from a stream of their own, so every draw below and
+  // every batch size stays as it was.
+  Rng quiet_rng(seed * 0x9e3779b97f4a7c15ull + 29);
+  std::ostringstream quiet;
+  if (shards > 1 && quiet_rng.bernoulli(0.5)) {
+    const auto shard_of = [shards](std::int64_t k) { return ValueHasher{}(Value(k)) % shards; };
+    const std::size_t idle = shard_of(quiet_rng.uniform_int(0, cfg.key_cardinality - 1));
+    std::int64_t other = 0;
+    while (shard_of(other) == idle) ++other;
+    const Timestamp from = quiet_rng.uniform_int(ordered.front().ts, ordered.back().ts);
+    const Timestamp to = from + 3 * slack + 1;
+    for (Event& e : arrivals)
+      if (e.ts >= from && e.ts < to && shard_of(e.attrs[0].as_int()) == idle)
+        e.attrs[0] = Value(other);
+    quiet << " quiet=[" << from << "," << to << ") on shard " << idle;
+  }
 
   // 2-4 queries sharing the first type T0. A sharded point draws keyed
   // forms only: an unkeyed query would make the Session fall back to one
@@ -247,7 +267,8 @@ TEST_P(SessionLattice, NetDeliveryMatchesOracle) {
   }
 
   std::ostringstream recipe;
-  recipe << "seed=" << seed << " shards=" << shards << " batch=" << (ragged ? "1-300" : "1")
+  recipe << "seed=" << seed << " shards=" << shards << quiet.str()
+         << " batch=" << (ragged ? "1-300" : "1")
          << " share_scans=" << share << " late_policy=" << to_string(policy)
          << " aggressive=" << aggressive << " recovery=" << recovery;
   if (recovery)

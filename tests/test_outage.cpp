@@ -88,7 +88,7 @@ TEST(OutageInjector, EnginesStayExactThroughOutages) {
   const auto arrivals = inj.deliver(ordered);
   ASSERT_GT(DisorderInjector::measure(arrivals).late_events, 100u);
 
-  for (const std::string query :
+  for (const std::string& query :
        {wl.seq_query(3, true, 300), wl.negation_query(300)}) {
     const CompiledQuery q = compile_query(query, wl.registry());
     EngineOptions opt;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -467,6 +468,75 @@ TEST_F(SessionRecovery, MultipleKillsAcrossShardsStillExactlyOnce) {
   EXPECT_EQ(fault.victims_remaining(), 0u);
 }
 
+// Ticks in flight: an AGG query and a negation query at 4 shards, over a
+// stream that leaves shard 3 without events for several slacks at a time.
+// The idle shard's worker checkpoints on ticks and holds them in its
+// backup, so a kill replays them; a tick seals windows and held
+// candidates, so a replay that lost or misplaced one would renumber the
+// shard's results or stamp them with another detection clock.
+using TickedResult = std::tuple<QueryId, MatchKey, Timestamp>;
+
+std::vector<TickedResult> run_ticked_session(const TypeRegistry& reg,
+                                             const std::vector<Event>& stream, WorkerKillHook hook,
+                                             std::size_t* restarts) {
+  const auto sink = std::make_shared<CollectingTaggedSink>();
+  SessionConfig cfg;
+  cfg.slack(4)
+      .shards(4)
+      .checkpoint_every(7)
+      .max_restarts(5)
+      .restart_backoff(std::chrono::milliseconds(0), std::chrono::milliseconds(0))
+      .query("AGG count(C) OVER 20 BY k")
+      .query("PATTERN SEQ(A a, !B b, C c) WHERE a.k == b.k AND a.k == c.k WITHIN 15");
+  if (hook) cfg.kill_hook(std::move(hook));
+  Session session(reg, cfg, sink);
+  EXPECT_EQ(session.shard_count(), 4u);
+  for (const Event& e : stream) session.push(e);
+  session.close();
+  *restarts = session.restarts();
+  std::vector<TickedResult> out;
+  for (const TaggedMatch& tm : sink->matches())
+    out.emplace_back(tm.query, match_key(tm.match), tm.match.detection_clock);
+  return out;
+}
+
+TEST(SessionRecoveryTicks, KillAtEveryIndexWithTicksInFlightIsExactlyOnce) {
+  const TypeRegistry reg = make_abcd_registry();
+  // One key per shard; shard 3's key pauses for five rounds of every
+  // eight, about four slacks of stream time.
+  std::int64_t key_of[4];
+  for (std::size_t s = 0; s < 4; ++s) {
+    key_of[s] = 0;
+    while (ValueHasher{}(Value(key_of[s])) % 4 != s) ++key_of[s];
+  }
+  static const char* const kTypes[] = {"A", "C", "B", "C", "A", "A", "C"};
+  std::vector<Event> stream;
+  Timestamp ts = 0;
+  for (std::size_t round = 0; round < 80; ++round) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      if (s == 3 && round % 8 >= 3) continue;
+      const EventId id = stream.size();
+      stream.push_back(make_event(reg, kTypes[(round + s) % 7], id, ts += 1, key_of[s]));
+    }
+  }
+  std::size_t restarts = 0;
+  const auto uninterrupted = run_ticked_session(reg, stream, {}, &restarts);
+  ASSERT_EQ(restarts, 0u);
+  const std::size_t windows = static_cast<std::size_t>(std::count_if(
+      uninterrupted.begin(), uninterrupted.end(),
+      [](const TickedResult& r) { return std::get<0>(r) == 0; }));
+  ASSERT_GT(windows, 10u);
+  ASSERT_GT(uninterrupted.size() - windows, 10u) << "too few negation matches";
+
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    WorkerKillFault fault({stream[i].id});
+    const auto run = run_ticked_session(reg, stream, fault.hook(), &restarts);
+    ASSERT_GE(restarts, 1u) << "kill at index " << i << " never fired";
+    ASSERT_EQ(run, uninterrupted) << "output diverges after killing the worker at index " << i;
+    ASSERT_EQ(fault.victims_remaining(), 0u);
+  }
+}
+
 TEST_F(SessionRecovery, ExhaustedBudgetFailPolicyRethrows) {
   // Kill on every event of one key: each respawn survives replay (the
   // hook is not consulted there) and dies on the next fresh event of
@@ -585,7 +655,9 @@ TEST(SessionQuarantine, DrainedAtCloseAndCountedInMetrics) {
       EXPECT_LE(a.first, b.first);
       if (a.first == b.first) {
         EXPECT_LE(a.second.ts, b.second.ts);
-        if (a.second.ts == b.second.ts) EXPECT_LT(a.second.id, b.second.id);
+        if (a.second.ts == b.second.ts) {
+          EXPECT_LT(a.second.id, b.second.id);
+        }
       }
     }
   }

@@ -1,10 +1,14 @@
 // Sharded runtime: SPSC queue, partition analysis, ordered merge,
-// exactly-once delivery, and 1-vs-N shard output determinism.
+// exactly-once delivery, 1-vs-N shard output determinism, and the type id
+// reserved for clock ticks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -469,6 +473,48 @@ TEST(SessionSharded, DeadWorkerFailsFastFromPushBatchWithRoomToSpare) {
   EXPECT_TRUE(threw) << "producer kept filling a dead worker's queue";
   // Orderly teardown after the surfaced failure.
   session.close();
+}
+
+// -------------------------------------------------- reserved tick type
+
+TEST(SessionSharded, PushedEventOfTheTickTypeIsRefusedBeforeAnythingIsStaged) {
+  const TypeRegistry reg = make_abcd_registry();
+  const std::string text = "PATTERN SEQ(A a, B b) WHERE a.k == b.k WITHIN 50";
+  std::vector<Event> stream;
+  for (EventId id = 0; id < 400; ++id)
+    stream.push_back(make_event(reg, id % 2 ? "B" : "A", id, static_cast<Timestamp>(id),
+                                static_cast<std::int64_t>(id / 2 % 13)));
+  const auto sink = std::make_shared<CollectingTaggedSink>();
+  Session session(reg, SessionConfig{}.slack(5).shards(4).query(text), sink);
+  ASSERT_EQ(session.shard_count(), 4u);
+  const std::span<const Event> all(stream);
+  session.push_batch(all.first(200));
+
+  // A batch whose pairs would complete matches, with a forged tick far
+  // ahead of the stream in the middle: refused as a whole, so neither its
+  // pairs nor its timestamp reach any shard.
+  Event forged = make_event(reg, "A", 10'000, 1'000'000);
+  forged.type = kTickType;
+  std::vector<Event> refused;
+  for (EventId id = 1'000; id < 1'008; ++id) {
+    const auto ts = static_cast<Timestamp>(id - 805);  // 195 to 202
+    refused.push_back(make_event(reg, id % 2 ? "B" : "A", id, ts, 7));
+  }
+  refused.insert(refused.begin() + 4, forged);
+  EXPECT_THROW(session.push_batch(refused), std::invalid_argument);
+  EXPECT_THROW(session.push(forged), std::invalid_argument);
+  // An unregistered type id is not reserved: it keeps its path.
+  Event unknown = make_event(reg, "A", 10'001, 199);
+  unknown.type = kInvalidType;
+  EXPECT_NO_THROW(session.push(unknown));
+
+  session.push_batch(all.subspan(200));
+  session.close();
+  std::vector<MatchKey> got;
+  for (const TaggedMatch& tm : sink->matches()) got.push_back(match_key(tm.match));
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, oracle_keys(compile_query(text, reg), stream));
+  EXPECT_EQ(session.total_stats().contract_violations, 0u);
 }
 
 }  // namespace

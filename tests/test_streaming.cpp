@@ -2,9 +2,10 @@
 // the release bound passes it (runtime/merger.hpp), in canonical order,
 // from push()/push_batch() — not at finish(). Pinned here: release is
 // exact (everything final goes out, nothing early) at one shard, idle
-// shards are ticked so release never waits for close(), an AGG query
-// whose events pause does not hold the other queries back, a retraction
-// never reaches the sink before the match it revokes, the inline shard
+// shards are ticked so release never waits for close(), not even when an
+// idle shard holds an open AGG window or a negation candidate, an AGG
+// query whose events pause does not hold the other queries back, a
+// retraction never reaches the sink before the match it revokes, the inline shard
 // hands a burst of already-final results over at the next call, the merger's
 // backlog does not grow with the stream, and under LatePolicy::kAdmit a
 // contract violation shows up as a counted late delivery while the net
@@ -214,6 +215,64 @@ TEST(StreamingDelivery, PausedAggQueryDoesNotHoldOtherQueriesBack) {
   }
 }
 
+// ---------------------------- idle shard holding a window or a candidate
+
+TEST(StreamingDelivery, IdleShardSealsItsWindowOrHeldMatchBeforeClose) {
+  // The idle shard's only state is an open AGG window (one C event) or a
+  // held negation candidate (two C events); every later event is a keyed
+  // A/B pair that never routes there, so only ticks move its clock. Until
+  // the ticks reach its engines, that state caps its bound, and every
+  // result of every query waits for close().
+  const TypeRegistry reg = make_abcd_registry();
+  const std::vector<std::int64_t> keys = keys_avoiding(3, 4, 40);
+  std::int64_t idle_key = 0;
+  while (ValueHasher{}(Value(idle_key)) % 4 != 3) ++idle_key;
+  const std::string seq = "PATTERN SEQ(A a, B b) WHERE a.k == b.k WITHIN 50";
+  const struct {
+    std::string query;
+    std::size_t c_events;
+  } probes[] = {{"AGG count(C) OVER 100 BY k", 1},
+                {"PATTERN SEQ(C a, !D d, C c) WHERE a.k == d.k AND a.k == c.k WITHIN 50", 2}};
+  for (const auto& probe : probes) {
+    std::vector<Event> head;
+    EventId id = 0;
+    Timestamp ts = 0;
+    for (std::size_t i = 0; i < probe.c_events; ++i)
+      head.push_back(make_event(reg, "C", id++, ts += 1, idle_key));
+    for (std::size_t i = 0; i < 10'000; ++i) {
+      const std::int64_t k = keys[i % keys.size()];
+      head.push_back(make_event(reg, "A", id++, ts += 1, k));
+      head.push_back(make_event(reg, "B", id++, ts += 1, k));
+    }
+    const std::size_t pairs = oracle_keys(compile_query(seq, reg), head).size();
+    ASSERT_GT(pairs, 0u);
+
+    const auto sink = std::make_shared<CollectingTaggedSink>();
+    Session session(reg, SessionConfig{}.slack(10).shards(4).query(probe.query).query(seq), sink);
+    ASSERT_EQ(session.shard_count(), 4u);
+    for (const Event& e : head) session.push(e);
+    const auto delivered = [&](QueryId q) {
+      return static_cast<std::size_t>(std::count_if(
+          sink->matches().begin(), sink->matches().end(),
+          [q](const TaggedMatch& tm) { return tm.query == q; }));
+    };
+    // Workers deliver asynchronously: keep the stream moving with A
+    // events that complete nothing and never reach the idle shard.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::size_t k = 0;
+    while (delivered(0) < 1 || delivered(1) < pairs) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << probe.query << ": " << delivered(0) << " of 1 idle-shard result and "
+          << delivered(1) << " of " << pairs << " pairs delivered before close()";
+      session.push(make_event(reg, "A", id++, ts += 1, keys[k++ % keys.size()]));
+    }
+    session.close();
+    EXPECT_EQ(delivered(0), 1u) << probe.query;
+    EXPECT_EQ(delivered(1), pairs) << probe.query;
+    EXPECT_EQ(inversions(sink->matches()), 0u) << probe.query;
+  }
+}
+
 // ------------------------------------------ inline burst hold
 
 TEST(StreamingDelivery, InlineShardHoldsABurstForTheNextCall) {
@@ -321,7 +380,9 @@ TEST(StreamingDelivery, RetractionAlwaysFollowsTheMatchItRevokes) {
           EXPECT_EQ(sink->doubles(), 0u)
               << where.str() << " aggressive=" << aggressive
               << ": a result was re-emitted before its retraction";
-          if (aggressive) EXPECT_GT(sink->retractions(), 0u) << where.str();
+          if (aggressive) {
+            EXPECT_GT(sink->retractions(), 0u) << where.str();
+          }
           nets[aggressive] = sink->live();
         }
         EXPECT_EQ(nets[1], nets[0]) << where.str();
@@ -415,8 +476,8 @@ Delivered run_admit(const SyntheticWorkload& wl, const std::vector<Event>& arriv
 }
 
 // What finish-time delivery would have produced: the same engines per
-// shard, fed the events the Session routes to them, emissions kept as
-// they come.
+// shard, fed the events and ticks the Session routes to them, emissions
+// kept as they come.
 std::vector<Keyed> finish_time_net(const SyntheticWorkload& wl,
                                    const std::vector<Event>& arrivals,
                                    const std::vector<std::string>& texts, Timestamp slack,
@@ -437,12 +498,28 @@ std::vector<Keyed> finish_time_net(const SyntheticWorkload& wl,
       runners.back()->add_query(spec.query, spec.kind, spec.options);
   }
   ValueHasher hasher;
+  // Worker shards get a tick right behind the event that leaves them
+  // more than the slack behind the stream, once per slack of stream time.
+  std::vector<Timestamp> routed(shards, kMinTimestamp);
+  Timestamp clock = kMinTimestamp, next_sweep = kMinTimestamp;
+  const Timestamp gap = std::max<Timestamp>(1, slack);
   for (const Event& e : arrivals) {
+    clock = std::max(clock, e.ts);
     const std::size_t slot = shards > 1 ? partition->slot_for(e.type) : 0;
     if (shards > 1 && (slot == PartitionSpec::kTickOnly || slot >= e.attrs.size())) {
       for (auto& r : runners) r->on_event(e);
+      for (Timestamp& t : routed) t = std::max(t, e.ts);
     } else {
-      runners[shards > 1 ? hasher(e.attrs[slot]) % shards : 0]->on_event(e);
+      const std::size_t s = shards > 1 ? hasher(e.attrs[slot]) % shards : 0;
+      runners[s]->on_event(e);
+      routed[s] = std::max(routed[s], e.ts);
+    }
+    if (shards == 1 || clock < next_sweep) continue;
+    next_sweep = clock + gap;
+    for (std::size_t s = 0; s < shards; ++s) {
+      if (routed[s] >= clock - gap) continue;
+      runners[s]->on_tick(clock);
+      routed[s] = clock;
     }
   }
   for (auto& r : runners) r->finish();
