@@ -6,9 +6,8 @@
 
 namespace oosp {
 
-const Value& Event::attr(std::size_t slot) const {
-  OOSP_REQUIRE(slot < attrs.size(), "attribute slot out of range");
-  return attrs[slot];
+void Event::slot_out_of_range() {
+  detail::throw_require("slot < attrs.size()", __FILE__, __LINE__, "attribute slot out of range");
 }
 
 std::ostream& operator<<(std::ostream& os, const Event& e) {

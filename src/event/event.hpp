@@ -37,11 +37,18 @@ struct Event {
   ArrivalSeq arrival = 0;  // assigned by the channel on delivery
   std::vector<Value> attrs;
 
-  const Value& attr(std::size_t slot) const;
+  // Requires slot < attrs.size() (std::invalid_argument otherwise).
+  const Value& attr(std::size_t slot) const {
+    if (slot >= attrs.size()) [[unlikely]] slot_out_of_range();
+    return attrs[slot];
+  }
 
   // An event is "late" in a delivered stream when some event with a larger
   // timestamp arrived before it.
   bool operator==(const Event& other) const = default;
+
+ private:
+  [[noreturn]] static void slot_out_of_range();
 };
 
 // Total order used whenever ties must break deterministically:

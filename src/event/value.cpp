@@ -1,7 +1,6 @@
 #include "event/value.hpp"
 
 #include <cstdio>
-#include <functional>
 #include <ostream>
 
 #include "common/contracts.hpp"
@@ -18,34 +17,42 @@ std::string_view to_string(ValueType t) noexcept {
   return "?";
 }
 
-ValueType Value::type() const noexcept {
-  return static_cast<ValueType>(v_.index());
+Value& Value::assign_slow(const Value& other) {
+  if (tag_ == ValueType::kString && other.tag_ == ValueType::kString) {
+    *u_.s = *other.u_.s;  // reuses this value's buffer when it fits
+    return *this;
+  }
+  // Exactly one side is a string: copy, then swap, so a throwing
+  // allocation leaves *this as it was.
+  Value copy(other);
+  swap(*this, copy);
+  return *this;
 }
 
 std::int64_t Value::as_int() const {
   OOSP_REQUIRE(type() == ValueType::kInt, "value is not int");
-  return std::get<std::int64_t>(v_);
+  return u_.i;
 }
 
 double Value::as_double() const {
   OOSP_REQUIRE(type() == ValueType::kDouble, "value is not double");
-  return std::get<double>(v_);
+  return u_.d;
 }
 
 bool Value::as_bool() const {
   OOSP_REQUIRE(type() == ValueType::kBool, "value is not bool");
-  return std::get<bool>(v_);
+  return u_.b;
 }
 
 const std::string& Value::as_string() const {
   OOSP_REQUIRE(type() == ValueType::kString, "value is not string");
-  return std::get<std::string>(v_);
+  return *u_.s;
 }
 
 double Value::numeric() const {
-  if (type() == ValueType::kInt) return static_cast<double>(std::get<std::int64_t>(v_));
+  if (type() == ValueType::kInt) return static_cast<double>(u_.i);
   OOSP_REQUIRE(type() == ValueType::kDouble, "value is not numeric");
-  return std::get<double>(v_);
+  return u_.d;
 }
 
 bool Value::comparable_with(const Value& other) const noexcept {
@@ -53,62 +60,54 @@ bool Value::comparable_with(const Value& other) const noexcept {
   return type() == other.type();
 }
 
-int Value::compare(const Value& other) const {
+int Value::compare_slow(const Value& other) const {
   OOSP_REQUIRE(comparable_with(other), "incomparable value types");
   if (is_numeric() && other.is_numeric()) {
-    // Exact integer compare when both are ints (avoids double rounding
-    // for magnitudes above 2^53).
-    if (type() == ValueType::kInt && other.type() == ValueType::kInt) {
-      const auto a = std::get<std::int64_t>(v_), b = std::get<std::int64_t>(other.v_);
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
+    // int/int never reaches here (compare() answers it exactly, without
+    // double rounding above 2^53), so at least one side is a double.
     const double a = numeric(), b = other.numeric();
     return a < b ? -1 : (a > b ? 1 : 0);
   }
   switch (type()) {
     case ValueType::kBool: {
-      const bool a = std::get<bool>(v_), b = std::get<bool>(other.v_);
+      const bool a = u_.b, b = other.u_.b;
       return a == b ? 0 : (a ? 1 : -1);
     }
     case ValueType::kString: {
-      const auto& a = std::get<std::string>(v_);
-      const auto& b = std::get<std::string>(other.v_);
+      const std::string& a = *u_.s;
+      const std::string& b = *other.u_.s;
       return a < b ? -1 : (a > b ? 1 : 0);
     }
     default: OOSP_CHECK(false, "unreachable value compare"); return 0;
   }
 }
 
-bool Value::operator==(const Value& other) const noexcept {
+bool Value::equals_slow(const Value& other) const noexcept {
   if (!comparable_with(other)) return false;
-  return compare(other) == 0;
+  return compare_slow(other) == 0;
 }
 
-std::size_t Value::hash() const noexcept {
-  const std::size_t tag = v_.index() * 0x9e3779b97f4a7c15ull;
+std::size_t Value::hash_slow() const noexcept {
+  const std::size_t tag = static_cast<std::size_t>(tag_) * 0x9e3779b97f4a7c15ull;
   switch (type()) {
-    case ValueType::kInt:
-      return tag ^ std::hash<std::int64_t>{}(std::get<std::int64_t>(v_));
-    case ValueType::kDouble:
-      return tag ^ std::hash<double>{}(std::get<double>(v_));
-    case ValueType::kBool:
-      return tag ^ std::hash<bool>{}(std::get<bool>(v_));
-    case ValueType::kString:
-      return tag ^ std::hash<std::string>{}(std::get<std::string>(v_));
+    case ValueType::kInt: return tag ^ std::hash<std::int64_t>{}(u_.i);
+    case ValueType::kDouble: return tag ^ std::hash<double>{}(u_.d);
+    case ValueType::kBool: return tag ^ std::hash<bool>{}(u_.b);
+    case ValueType::kString: return tag ^ std::hash<std::string>{}(*u_.s);
   }
   return tag;
 }
 
 std::string Value::to_display() const {
   switch (type()) {
-    case ValueType::kInt: return std::to_string(std::get<std::int64_t>(v_));
+    case ValueType::kInt: return std::to_string(u_.i);
     case ValueType::kDouble: {
       char buf[48];
-      std::snprintf(buf, sizeof buf, "%g", std::get<double>(v_));
+      std::snprintf(buf, sizeof buf, "%g", u_.d);
       return buf;
     }
-    case ValueType::kBool: return std::get<bool>(v_) ? "true" : "false";
-    case ValueType::kString: return '"' + std::get<std::string>(v_) + '"';
+    case ValueType::kBool: return u_.b ? "true" : "false";
+    case ValueType::kString: return '"' + *u_.s + '"';
   }
   return "?";
 }

@@ -17,7 +17,6 @@ Session::Session(const TypeRegistry& registry, SessionConfig config,
 
   if (config.metrics_) {
     metrics_ = std::make_unique<MetricsRegistry>();
-    session_events_ = metrics_->counter("oosp_session_events_total");
     quarantine_drained_ = metrics_->counter("oosp_session_quarantine_drained_total");
   }
 
@@ -57,16 +56,12 @@ Session::~Session() { stop_reporter(); }
 
 void Session::push(const Event& e) {
   OOSP_REQUIRE(!finished_, "push after finish");
-  ++events_seen_;
-  if (session_events_) session_events_->inc();
   runner_->on_event(e);
 }
 
 void Session::push_batch(std::span<const Event> batch) {
   if (batch.empty()) return;
   OOSP_REQUIRE(!finished_, "push_batch after finish");
-  events_seen_ += batch.size();
-  if (session_events_) session_events_->inc(batch.size());
   runner_->on_batch(batch);
 }
 

@@ -163,7 +163,9 @@ class SessionConfig {
     return *this;
   }
   // Per-shard ingress queue capacity in events (bounded; producer blocks
-  // when full). Default kDefaultQueueCapacity; a full ring holds capacity
+  // when full). Default kDefaultQueueCapacity (1,024). Once the workers
+  // are the bottleneck the rings run full, so an event queues for about
+  // capacity × a worker's time per event, and a full ring holds capacity
   // × slot footprint of memory per shard (runtime/sharded.hpp).
   SessionConfig& queue_capacity(std::size_t n) {
     queue_capacity_ = n;
@@ -300,7 +302,14 @@ class Session {
   // Why a shards(N>1) request fell back to 1; empty when it did not.
   const std::string& shard_fallback_reason() const noexcept { return fallback_reason_; }
 
-  std::uint64_t events_seen() const noexcept { return events_seen_; }
+  // Events of every push / push_batch call the runtime accepted, also
+  // counted by the oosp_session_events_total metric. A call refused whole
+  // — after finish, or holding an event of the reserved type kTickType
+  // (std::invalid_argument) — counts nothing. A call that throws after
+  // acceptance has counted all its events, whether or not each reached an
+  // engine: a dead worker's rethrown exception, an OverloadError, or a
+  // sink that throws during delivery.
+  std::uint64_t events_seen() const noexcept { return runner_->events_accepted(); }
 
   // Quarantined late events (LatePolicy::kQuarantine), drained from
   // every engine at finish()/close() and sorted canonically by
@@ -339,11 +348,9 @@ class Session {
   // Declared before the runners: engines hold raw slot pointers into the
   // registry, so it must be destroyed after them.
   std::unique_ptr<MetricsRegistry> metrics_;
-  Counter* session_events_ = nullptr;
   std::vector<ShardQuerySpec> specs_;
   std::string fallback_reason_;
   bool finished_ = false;
-  std::uint64_t events_seen_ = 0;
   std::once_flag close_once_;
   Counter* quarantine_drained_ = nullptr;
   std::vector<std::pair<QueryId, Event>> quarantined_;

@@ -87,6 +87,7 @@ ShardedRunner::ShardedRunner(const TypeRegistry& registry,
   for (QueryId q = 0; q < specs_.size(); ++q)
     for (TypeId t = 0; t < registry_.size(); ++t)
       if (specs_[q].query->relevant(t)) queries_by_type_[t].push_back(q);
+  if (metrics) accepted_obs_ = metrics->counter("oosp_session_events_total");
   if (metrics && !inline_) {
     push_retries_ = metrics->counter("oosp_shard_push_retries_total");
     worker_failures_ = metrics->counter("oosp_shard_worker_failures_total");
@@ -475,6 +476,8 @@ void ShardedRunner::on_batch(std::span<const Event> batch) {
   OOSP_REQUIRE(!finished_, "push after finish");
   OOSP_REQUIRE(std::none_of(batch.begin(), batch.end(), is_tick),
                "event type id kTickType is reserved for clock ticks");
+  events_accepted_ += batch.size();
+  if (accepted_obs_) accepted_obs_->inc(batch.size());
   merger_.release_held(sink_.get());
   if (inline_) {
     shards_.front()->runner->on_batch(batch);

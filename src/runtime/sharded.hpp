@@ -156,14 +156,16 @@ struct RecoveryConfig {
   bool enabled() const noexcept { return checkpoint_every > 0; }
 };
 
-// Default per-shard ingress ring capacity, in events. Ring slots are
-// reused, never freed, so a full ring stays resident: in-flight memory is
-// capacity × shards × slot footprint, where a slot is sizeof(Event) plus
-// the attrs block it keeps from its last occupant (~150 B for a
-// 2-attribute event). 8,192 slots hold a full ring to ~1.2 MB per shard;
-// 64k slots cost ~10 MB per shard, and measured throughput ranges at the
-// two sizes overlap (DESIGN.md §3.6).
-inline constexpr std::size_t kDefaultQueueCapacity = 8 * 1024;
+// Default per-shard ingress ring capacity, in events. Once the workers are
+// the bottleneck the rings run full, and an event then waits about
+// capacity × the worker's time per event before it runs (~0.1–0.3 ms at
+// 1,024 slots and 100–270 ns per event; 8,192 slots queued ~1–2 ms).
+// Ring slots are reused, never freed, so a full ring stays resident:
+// in-flight memory is capacity × shards × slot footprint, where a slot is
+// sizeof(Event) (56 B) plus the attrs block it keeps from its last
+// occupant (32 B for a 2-attribute event), ~90 KB per full ring
+// (DESIGN.md §3.6).
+inline constexpr std::size_t kDefaultQueueCapacity = 1024;
 
 class ShardedRunner {
  public:
@@ -188,7 +190,9 @@ class ShardedRunner {
   ShardedRunner& operator=(const ShardedRunner&) = delete;
 
   // Producer side; single-threaded. Refuses a slice holding an event of
-  // type kTickType (std::invalid_argument). Partitions the slice into
+  // type kTickType (std::invalid_argument) before it touches anything;
+  // otherwise accepts the whole slice into events_accepted() first, so a
+  // call that throws later has counted all of it. Partitions the slice into
   // per-shard stages of pointers into `batch`, each event followed by the
   // ticks it makes due, and copies each stage straight into its shard's
   // ring slots with bulk copy-in transactions (one acquire/release pair
@@ -232,6 +236,11 @@ class ShardedRunner {
   std::vector<std::pair<QueryId, Event>> drain_quarantine();
 
   std::size_t shard_count() const noexcept { return shards_.size(); }
+
+  // Events of every on_batch / on_event call that passed the refusal
+  // check (producer thread). Mirrored by the oosp_session_events_total
+  // counter when metrics are on.
+  std::uint64_t events_accepted() const noexcept { return events_accepted_; }
 
   // Supervision accounting (producer thread; exact after finish()).
   std::size_t restarts_total() const noexcept;
@@ -442,6 +451,7 @@ class ShardedRunner {
   bool inline_ = false;  // one shard, run on the producer thread
   ValueHasher hasher_;
   bool finished_ = false;
+  std::uint64_t events_accepted_ = 0;
   // A dead worker's exception has already been rethrown to the caller
   // (from a push or from finish); finish() then stays quiet so teardown
   // after a caught failure is orderly. Producer-thread only.
@@ -462,6 +472,7 @@ class ShardedRunner {
   static constexpr std::size_t kTickSlots = 64;
   std::vector<Event> ticks_;
   // Runner-level observability slots (null when metrics are disabled).
+  Counter* accepted_obs_ = nullptr;     // events_accepted_, at every shard count
   Counter* push_retries_ = nullptr;     // producer spins on a full queue
   Counter* worker_failures_ = nullptr;  // workers killed by an exception
   Counter* broadcasts_ = nullptr;       // tick-only events sent to every shard

@@ -790,6 +790,50 @@ TEST_F(BatchRecovery, KillAtEveryBatchBoundaryYieldsPerEventOutput) {
   }
 }
 
+// Every key a heap-owned string: ring copy-in, the recovery backup,
+// checkpoints, replay and match copies all copy owned strings. A 4-shard
+// run with recovery on and two worker kills must deliver exactly the
+// 1-shard run's sequence of matches, string keys included.
+TEST(StringKeys, ShardedRecoveryDeliversTheOneShardSequence) {
+  const TypeRegistry reg = make_string_key_registry();
+  const auto events = sparse_key_stream(reg, 64 * 48, /*string_keys=*/true);
+  const std::string query =
+      "PATTERN SEQ(C c, B b, A a) WHERE c.k == b.k AND b.k == a.k WITHIN " +
+      std::to_string(kSparseWindow);
+  const auto run = [&](std::size_t shards, WorkerKillHook hook) {
+    const auto sink = std::make_shared<CollectingTaggedSink>();
+    SessionConfig cfg;
+    cfg.slack(kSparseSlack).shards(shards).query(query);
+    if (shards > 1) {
+      cfg.checkpoint_every(16).max_restarts(10).restart_backoff(
+          std::chrono::milliseconds(0), std::chrono::milliseconds(0));
+    }
+    if (hook) cfg.kill_hook(std::move(hook));
+    Session session(reg, cfg, sink);
+    EXPECT_EQ(session.shard_count(), shards);
+    const std::span<const Event> all(events);
+    for (std::size_t off = 0; off < all.size(); off += 64)
+      session.push_batch(all.subspan(off, std::min<std::size_t>(64, all.size() - off)));
+    session.close();
+    EXPECT_EQ(session.total_stats().contract_violations, 0u);
+    std::vector<std::pair<QueryId, std::vector<Event>>> out;
+    for (const TaggedMatch& tm : sink->matches()) out.emplace_back(tm.query, tm.match.events);
+    return out;
+  };
+  const auto oracle = run(1, {});
+  ASSERT_EQ(oracle.size(), events.size() / 3);
+  ASSERT_EQ(oracle.front().second.front().attr(0).type(), ValueType::kString);
+  WorkerKillFault fault(
+      std::vector<EventId>{events[events.size() / 3].id, events[2 * events.size() / 3].id});
+  const auto sharded = run(4, fault.hook());
+  EXPECT_EQ(fault.victims_remaining(), 0u);
+  ASSERT_EQ(sharded.size(), oracle.size());
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_EQ(sharded[i].first, oracle[i].first) << "query diverges at " << i;
+    ASSERT_EQ(sharded[i].second, oracle[i].second) << "match diverges at " << i;
+  }
+}
+
 // -------------------------------- checkpoint/restore under batched feed
 
 TEST_F(BatchRecovery, ArenaStateSurvivesCheckpointRestoreMidStream) {

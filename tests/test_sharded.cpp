@@ -484,12 +484,6 @@ TEST(SessionSharded, PushedEventOfTheTickTypeIsRefusedBeforeAnythingIsStaged) {
   for (EventId id = 0; id < 400; ++id)
     stream.push_back(make_event(reg, id % 2 ? "B" : "A", id, static_cast<Timestamp>(id),
                                 static_cast<std::int64_t>(id / 2 % 13)));
-  const auto sink = std::make_shared<CollectingTaggedSink>();
-  Session session(reg, SessionConfig{}.slack(5).shards(4).query(text), sink);
-  ASSERT_EQ(session.shard_count(), 4u);
-  const std::span<const Event> all(stream);
-  session.push_batch(all.first(200));
-
   // A batch whose pairs would complete matches, with a forged tick far
   // ahead of the stream in the middle: refused as a whole, so neither its
   // pairs nor its timestamp reach any shard.
@@ -501,20 +495,41 @@ TEST(SessionSharded, PushedEventOfTheTickTypeIsRefusedBeforeAnythingIsStaged) {
     refused.push_back(make_event(reg, id % 2 ? "B" : "A", id, ts, 7));
   }
   refused.insert(refused.begin() + 4, forged);
-  EXPECT_THROW(session.push_batch(refused), std::invalid_argument);
-  EXPECT_THROW(session.push(forged), std::invalid_argument);
   // An unregistered type id is not reserved: it keeps its path.
   Event unknown = make_event(reg, "A", 10'001, 199);
   unknown.type = kInvalidType;
-  EXPECT_NO_THROW(session.push(unknown));
 
-  session.push_batch(all.subspan(200));
-  session.close();
-  std::vector<MatchKey> got;
-  for (const TaggedMatch& tm : sink->matches()) got.push_back(match_key(tm.match));
-  std::sort(got.begin(), got.end());
-  EXPECT_EQ(got, oracle_keys(compile_query(text, reg), stream));
-  EXPECT_EQ(session.total_stats().contract_violations, 0u);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto sink = std::make_shared<CollectingTaggedSink>();
+    Session session(reg, SessionConfig{}.slack(5).shards(shards).metrics(true).query(text),
+                    sink);
+    ASSERT_EQ(session.shard_count(), shards);
+    // A refused call counts none of its events, neither in events_seen()
+    // nor in the metric.
+    const auto expect_counted = [&](std::uint64_t n) {
+      EXPECT_EQ(session.events_seen(), n);
+      EXPECT_EQ(session.metrics_snapshot().counter("oosp_session_events_total"), n);
+    };
+    const std::span<const Event> all(stream);
+    session.push_batch(all.first(200));
+    expect_counted(200);
+    EXPECT_THROW(session.push_batch(refused), std::invalid_argument);
+    expect_counted(200);
+    EXPECT_THROW(session.push(forged), std::invalid_argument);
+    expect_counted(200);
+    EXPECT_NO_THROW(session.push(unknown));
+    expect_counted(201);
+
+    session.push_batch(all.subspan(200));
+    session.close();
+    expect_counted(stream.size() + 1);
+    std::vector<MatchKey> got;
+    for (const TaggedMatch& tm : sink->matches()) got.push_back(match_key(tm.match));
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, oracle_keys(compile_query(text, reg), stream));
+    EXPECT_EQ(session.total_stats().contract_violations, 0u);
+  }
 }
 
 }  // namespace
